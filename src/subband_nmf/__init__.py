@@ -10,13 +10,13 @@ from .spectral import (
     StftBasisModel,
     enhance_stft,
     istft,
+    separation_gain,
     stft,
     train_stft_model,
     wiener_gain,
 )
 from .subband import (
     BandModel,
-    GainSequence,
     SubbandBasisModel,
     enhance_dwpt,
     enhance_subbands,
@@ -33,7 +33,6 @@ __all__ = [
     "ComplexSpectrogram",
     "FILTER_NAMES",
     "FrameSpec",
-    "GainSequence",
     "MetricReport",
     "MixSpec",
     "NmfParams",
@@ -63,6 +62,7 @@ __all__ = [
     "read_wav",
     "save_model",
     "sdi",
+    "separation_gain",
     "split_reconstruction",
     "ssnr",
     "stft",

@@ -13,7 +13,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,28 +24,12 @@ from .metrics import evaluate
 from .mixing import MixSpec, mix_at_snr
 from .model_io import load_model, save_model
 from .nmf import NmfParams
-from .spectral import StftBasisModel, enhance_stft, stft, train_stft_model
+from .spectral import StftBasisModel, enhance_stft, istft, stft, train_stft_model
 from .subband import enhance_dwpt, train_dwpt_model
 from .wav_io import read_wav, write_wav
 from .wavelets import FILTER_NAMES, dwpt, get_filters, idwpt
 
 METHODS = ("stft-nmf", "dwpt-nmf")
-
-_CONFIG_KEYS = {
-    "method": str,
-    "frame_size": int,
-    "frame_shift": int,
-    "level": int,
-    "filter_name": str,
-    "speech_rank": int,
-    "noise_rank": int,
-    "iters_train": int,
-    "iters_encode": int,
-    "epsilon": float,
-    "seed": int,
-    "normalize": bool,
-    "gain_on_magnitude": str,
-}
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -77,6 +61,10 @@ class CliConfig:
             raise ValueError("epsilon must be positive")
         if self.gain_on_magnitude not in ("direct", "sqrt"):
             raise ValueError("gain_on_magnitude must be 'direct' or 'sqrt'")
+
+
+# Config-file keys and their value types, in field order.
+_CONFIG_KEYS = {f.name: f.type for f in fields(CliConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -193,31 +181,16 @@ def cmd_train(args) -> int:
 
 
 def _enhance_one(task):
-    in_path, out_path, model, cfg, dump = task
+    in_path, out_path, model, cfg = task
     noisy, _ = read_wav(in_path)
-    params = NmfParams(
-        rank=model.w_speech.shape[1] + model.w_noise.shape[1]
-        if isinstance(model, StftBasisModel)
-        else model.per_band[0].w_speech.shape[1] + model.per_band[0].w_noise.shape[1],
-        max_iters=cfg.iters_encode,
-        epsilon=cfg.epsilon,
-        seed=cfg.seed,
-    )
+    # encode takes the rank from the model's dictionaries, not from params
+    params = NmfParams(rank=1, max_iters=cfg.iters_encode, epsilon=cfg.epsilon, seed=cfg.seed)
     if isinstance(model, StftBasisModel):
         out = enhance_stft(noisy, model, params, gain_on_magnitude=cfg.gain_on_magnitude)
     else:
         out = enhance_dwpt(noisy, model, get_filters(model.filter_name), params,
                            normalize=cfg.normalize)
     write_wav(out_path, out)
-    if dump:
-        spec = model.frame_spec if isinstance(model, StftBasisModel) else FrameSpec(
-            defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT
-        )
-        mag = stft(out, spec).magnitude()
-        with open(dump, "w", newline="") as f:
-            w = csv.writer(f)
-            for frame in mag.T:
-                w.writerow([f"{v:.9g}" for v in frame])
     return str(out_path)
 
 
@@ -234,9 +207,7 @@ def cmd_enhance(args) -> int:
             pairs = [(inputs[0], out / inputs[0].name)]
         else:
             pairs = [(inputs[0], out)]
-    if args.dump_spectrogram and len(pairs) > 1:
-        raise ValueError("--dump-spectrogram needs a single input file")
-    tasks = [(p, q, model, cfg, args.dump_spectrogram) for p, q in pairs]
+    tasks = [(p, q, model, cfg) for p, q in pairs]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for done in pool.map(_enhance_one, tasks):
@@ -302,10 +273,7 @@ def cmd_roundtrip(args) -> int:
     else:
         size = args.frame_size or defaults.STFT_FRAME_SIZE
         shift = args.frame_shift or defaults.STFT_FRAME_SHIFT
-        spec = FrameSpec(size, shift)
-        from .spectral import istft
-
-        y = istft(stft(signal, spec), len(x))
+        y = istft(stft(signal, FrameSpec(size, shift)), len(x))
         label = f"stft frame={size} shift={shift}"
     err = float(np.mean((x - y) ** 2))
     print(f"transform={label}")
@@ -368,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noisy WAV files or directories")
     p.add_argument("--out", required=True, help="output WAV file, or directory for batches")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    p.add_argument("--dump-spectrogram", dest="dump_spectrogram", default=None,
-                   help="write the enhanced output's magnitude frames to this CSV")
     _add_common(p, training=False)
     p.set_defaults(func=cmd_enhance)
 

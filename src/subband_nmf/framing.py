@@ -69,6 +69,20 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return windows[:: spec.frame_shift][:n].T.copy()
 
 
+def _overlap_sum(frames: np.ndarray, shift: int, target_len: int) -> np.ndarray:
+    """Sum the columns of frames into target_len samples, column k from k*shift on.
+
+    Each output sample adds the entries that land on it in column order,
+    which fixes the rounding of `overlap_add` and `spectral.istft`.
+    Samples no column reaches are zero; entries past target_len are cut.
+    """
+    size, n_frames = frames.shape
+    acc = np.zeros(max((n_frames - 1) * shift + size, target_len))
+    for k in range(n_frames):
+        acc[k * shift : k * shift + size] += frames[:, k]
+    return acc[:target_len]
+
+
 def overlap_add(frames: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndarray:
     """De-frame by overlap-add, averaging over the frames covering each sample.
 
@@ -83,19 +97,9 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndar
     if target_len < 1:
         raise ValueError("target_len must be positive")
 
-    n_frames = frames.shape[1]
-    covered = (n_frames - 1) * spec.frame_shift + spec.frame_size
-    acc = np.zeros(covered)
-    counts = np.zeros(covered)
-    for k in range(n_frames):
-        start = k * spec.frame_shift
-        acc[start : start + spec.frame_size] += frames[:, k]
-        counts[start : start + spec.frame_size] += 1.0
-    out = acc / np.maximum(counts, 1.0)
-
-    if target_len <= covered:
-        return out[:target_len]
-    return np.concatenate([out, np.zeros(target_len - covered)])
+    acc = _overlap_sum(frames, spec.frame_shift, target_len)
+    counts = _overlap_sum(np.broadcast_to(1.0, frames.shape), spec.frame_shift, target_len)
+    return acc / np.maximum(counts, 1.0)
 
 
 def square_elementwise(frames: np.ndarray) -> np.ndarray:

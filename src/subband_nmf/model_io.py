@@ -21,61 +21,40 @@ _KIND_STFT = "stft"
 _KIND_DWPT = "dwpt"
 
 
-def _matrix_block(name, arr):
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    decl = f"matrix {name} {arr.shape[0]} {arr.shape[1]}\n"
-    return decl, arr.tobytes()
-
-
 def save_model(model, path) -> None:
     """Serialize a trained model; see the module docstring for layout."""
-    lines = [f"format_version: {FORMAT_VERSION}\n"]
-    blobs = []
-
     if isinstance(model, StftBasisModel):
-        lines.append(f"model_kind: {_KIND_STFT}\n")
-        lines.append(f"sample_rate: {_rate_field(model)}\n")
-        lines.append(f"frame_size: {model.frame_spec.frame_size}\n")
-        lines.append(f"frame_shift: {model.frame_spec.frame_shift}\n")
-        lines.append(f"window_name: {model.window_name}\n")
-        lines.append(f"feature_kind: {model.feature_kind}\n")
-        for name, arr in (("w_speech", model.w_speech), ("w_noise", model.w_noise)):
-            decl, blob = _matrix_block(name, arr)
-            lines.append(decl)
-            blobs.append(blob)
+        kind = _KIND_STFT
+        extra = {"window_name": model.window_name, "feature_kind": model.feature_kind}
+        matrices = [("w_speech", model.w_speech), ("w_noise", model.w_noise)]
     elif isinstance(model, SubbandBasisModel):
-        lines.append(f"model_kind: {_KIND_DWPT}\n")
-        lines.append(f"sample_rate: {_rate_field(model)}\n")
-        lines.append(f"frame_size: {model.frame_spec.frame_size}\n")
-        lines.append(f"frame_shift: {model.frame_spec.frame_shift}\n")
-        lines.append(f"level: {model.level}\n")
-        lines.append(f"filter_name: {model.filter_name}\n")
-        sigma = np.array([[b.sigma_clean for b in model.per_band]])
+        kind = _KIND_DWPT
+        extra = {"level": model.level, "filter_name": model.filter_name}
+        matrices = []
         for b, band in enumerate(model.per_band):
-            for name, arr in (
-                (f"w_speech_{b}", band.w_speech),
-                (f"w_noise_{b}", band.w_noise),
-            ):
-                decl, blob = _matrix_block(name, arr)
-                lines.append(decl)
-                blobs.append(blob)
-        decl, blob = _matrix_block("sigma_clean", sigma)
-        lines.append(decl)
-        blobs.append(blob)
+            matrices += [(f"w_speech_{b}", band.w_speech), (f"w_noise_{b}", band.w_noise)]
+        matrices.append(("sigma_clean", np.array([[b.sigma_clean for b in model.per_band]])))
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    if model.sample_rate is None:
+        raise ValueError("model has no sample rate set; cannot serialize")
 
+    header = {
+        "format_version": FORMAT_VERSION,
+        "model_kind": kind,
+        "sample_rate": int(model.sample_rate),
+        "frame_size": model.frame_spec.frame_size,
+        "frame_shift": model.frame_spec.frame_shift,
+        **extra,
+    }
+    lines = [f"{key}: {value}\n" for key, value in header.items()]
+    arrays = [(name, np.ascontiguousarray(arr, dtype="<f8")) for name, arr in matrices]
+    lines += [f"matrix {name} {arr.shape[0]} {arr.shape[1]}\n" for name, arr in arrays]
     with open(path, "wb") as f:
         f.write("".join(lines).encode("ascii"))
         f.write(b"\n")
-        for blob in blobs:
-            f.write(blob)
-
-
-def _rate_field(model):
-    if model.sample_rate is None:
-        raise ValueError("model has no sample rate set; cannot serialize")
-    return int(model.sample_rate)
+        for _, arr in arrays:
+            f.write(arr.tobytes())
 
 
 def _parse_header(text, path):

@@ -1,9 +1,14 @@
-"""STFT-domain supervised enhancement baseline.
+"""STFT-domain supervised enhancement baseline, and the shared gain core.
 
 Pipeline: windowed STFT, per-class dictionary training on power (or
 magnitude) spectra, fixed-dictionary encoding of the noisy spectrogram,
 ratio gain on the magnitudes with the phase carried through untouched,
 weighted overlap-add resynthesis.
+
+`separation_gain` is the back end both front ends share: encode a
+feature matrix against the stacked [W_S W_N], split the reconstruction
+by class and form the ratio gain.  The subband front end calls it once
+per band on squared frame matrices.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from .defaults import (
     NOISE_RANK,
     SPEECH_RANK,
 )
-from .framing import FrameSpec, Signal, frame_signal, overlap_add
+from .framing import FrameSpec, Signal, _overlap_sum, frame_signal
 from .nmf import NmfParams, encode, factorize, split_reconstruction
 
 __all__ = [
@@ -26,6 +31,7 @@ __all__ = [
     "StftBasisModel",
     "enhance_stft",
     "istft",
+    "separation_gain",
     "stft",
     "train_stft_model",
     "wiener_gain",
@@ -110,17 +116,9 @@ def istft(f: ComplexSpectrogram, target_len: int) -> np.ndarray:
     size, shift = f.frame_spec.frame_size, f.frame_spec.frame_shift
     window = get_window(f.window_name, size)
     frames = np.fft.irfft(f.values, n=size, axis=0)
-    span = (f.frames - 1) * shift + size
-    num = np.zeros(span)
-    den = np.zeros(span)
-    for k in range(f.frames):
-        start = k * shift
-        num[start : start + size] += window * frames[:, k]
-        den[start : start + size] += window * window
-    out = num / np.maximum(den, _OLA_FLOOR)
-    if target_len <= span:
-        return out[:target_len]
-    return np.concatenate([out, np.zeros(target_len - span)])
+    num = _overlap_sum(window[:, None] * frames, shift, target_len)
+    squared = np.broadcast_to((window * window)[:, None], frames.shape)
+    return num / np.maximum(_overlap_sum(squared, shift, target_len), _OLA_FLOOR)
 
 
 def _features(values: np.ndarray, kind: str) -> np.ndarray:
@@ -128,6 +126,23 @@ def _features(values: np.ndarray, kind: str) -> np.ndarray:
         raise ValueError(f"unknown feature kind '{kind}' (choose from {FEATURE_KINDS})")
     mag = np.abs(values)
     return mag * mag if kind == "power" else mag
+
+
+def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
+    """Reject a dictionary pair that is not 2-D with `rows` rows, finite and nonnegative."""
+    for name, w in (("w_speech", w_speech), ("w_noise", w_noise)):
+        if w.ndim != 2 or w.shape[0] != rows:
+            raise ValueError(f"{where}{name} must have {rows} rows")
+        if np.any(w < 0) or not np.all(np.isfinite(w)):
+            raise ValueError(f"{where}{name} must be finite and nonnegative")
+
+
+def _check_rate(model, noisy: Signal) -> None:
+    """Reject input whose sample rate differs from the model's, when it has one."""
+    if model.sample_rate is not None and noisy.sample_rate != model.sample_rate:
+        raise ValueError(
+            f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
+        )
 
 
 @dataclass
@@ -144,12 +159,7 @@ class StftBasisModel:
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
-        bins = self.frame_spec.frame_size // 2 + 1
-        for name, w in (("w_speech", self.w_speech), ("w_noise", self.w_noise)):
-            if w.ndim != 2 or w.shape[0] != bins:
-                raise ValueError(f"{name} must have {bins} rows")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValueError(f"{name} must be finite and nonnegative")
+        _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(
                 f"unknown feature kind '{self.feature_kind}' (choose from {FEATURE_KINDS})"
@@ -209,6 +219,27 @@ def wiener_gain(
     return np.clip(gain, 0.0, 1.0)
 
 
+def separation_gain(
+    v: np.ndarray, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None = None
+) -> np.ndarray:
+    """Ratio gain of the speech class for every entry of a feature matrix.
+
+    v is encoded against the stacked dictionary [w_s w_n] (by default
+    with ENCODE_ITERS sweeps), the encoding is split into the two class
+    reconstructions, and `wiener_gain` of those is returned.  A gain
+    that is not finite (the reconstructions overflowed) is rejected.
+    """
+    w_stack = np.hstack([w_s, w_n])
+    if params is None:
+        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
+    h = encode(v, w_stack, params)
+    speech_part, noise_part = split_reconstruction(w_s, w_n, h)
+    gain = wiener_gain(speech_part, noise_part, params.epsilon)
+    if not np.all(np.isfinite(gain)):
+        raise ValueError("gain values must be finite")
+    return gain
+
+
 def enhance_stft(
     noisy: Signal,
     model: StftBasisModel,
@@ -217,25 +248,16 @@ def enhance_stft(
 ) -> Signal:
     """Suppress noise in a signal using a trained spectral model.
 
-    The noisy feature matrix is encoded against the stacked dictionary
-    [W_S W_N]; the ratio gain from the two partial reconstructions
-    multiplies the magnitudes (optionally its square root does, via
+    The `separation_gain` of the noisy feature matrix multiplies the
+    magnitudes (optionally its square root does, via
     gain_on_magnitude="sqrt") while the phase rides along unchanged.
     """
     if gain_on_magnitude not in ("direct", "sqrt"):
         raise ValueError("gain_on_magnitude must be 'direct' or 'sqrt'")
-    if model.sample_rate is not None and noisy.sample_rate != model.sample_rate:
-        raise ValueError(
-            f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
-        )
-    w_stack = np.hstack([model.w_speech, model.w_noise])
-    if params is None:
-        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
+    _check_rate(model, noisy)
     spec = stft(noisy, model.frame_spec, model.window_name)
     v = _features(spec.values, model.feature_kind)
-    h = encode(v, w_stack, params)
-    speech_part, noise_part = split_reconstruction(model.w_speech, model.w_noise, h)
-    gain = wiener_gain(speech_part, noise_part, params.epsilon)
+    gain = separation_gain(v, model.w_speech, model.w_noise, params)
     if gain_on_magnitude == "sqrt":
         gain = np.sqrt(gain)
     enhanced = ComplexSpectrogram(

@@ -4,14 +4,16 @@ The signal is split into 2^J time-domain subband sequences by a wavelet
 packet tree.  Each band gets its own pair of dictionaries trained on
 squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
-rms before the inverse transform stitches the bands together.
+rms before the inverse transform stitches the bands together.  The ratio
+gain of each band comes from `spectral.separation_gain`, the back end the
+STFT baseline uses too.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
+from .defaults import EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
     FrameSpec,
     Signal,
@@ -21,38 +23,18 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import NmfParams, encode, factorize, split_reconstruction
-from .spectral import common_rate, wiener_gain
+from .nmf import NmfParams, factorize
+from .spectral import _check_dictionaries, _check_rate, common_rate, separation_gain
 from .wavelets import SubbandSet, WaveletFilters, dwpt, idwpt
 
 __all__ = [
     "BandModel",
-    "GainSequence",
     "SubbandBasisModel",
     "enhance_dwpt",
     "enhance_subbands",
     "subband_gain",
     "train_dwpt_model",
 ]
-
-
-@dataclass
-class GainSequence:
-    """Per-sample suppression factors, each in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise ValueError("gain sequence must be 1-D")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("gain values must be finite")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("gain values must lie in [0, 1]")
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass
@@ -81,26 +63,20 @@ class SubbandBasisModel:
     sample_rate: int | None = None
 
     def __post_init__(self):
+        if self.level < 1:
+            raise ValueError("level must be >= 1")
         if len(self.per_band) != 2**self.level:
             raise ValueError(
                 f"expected {2**self.level} band models, got {len(self.per_band)}"
             )
-        rows = self.frame_spec.frame_size
         for b, band in enumerate(self.per_band):
-            for name, w in (("w_speech", band.w_speech), ("w_noise", band.w_noise)):
-                if w.ndim != 2 or w.shape[0] != rows:
-                    raise ValueError(f"band {b} {name} must have {rows} rows")
-                if np.any(w < 0) or not np.all(np.isfinite(w)):
-                    raise ValueError(f"band {b} {name} must be finite and nonnegative")
+            _check_dictionaries(
+                band.w_speech, band.w_noise, self.frame_spec.frame_size, f"band {b} "
+            )
 
     @property
     def n_bands(self) -> int:
         return 2**self.level
-
-
-def _subband_signals(signals, level, filters):
-    # list of per-utterance SubbandSets; band b of utterance i is out[i][b]
-    return [dwpt(s, level, filters) for s in signals]
 
 
 def train_dwpt_model(
@@ -128,8 +104,8 @@ def train_dwpt_model(
     if noise_params is None:
         noise_params = NmfParams(rank=NOISE_RANK)
 
-    clean_sets = _subband_signals(clean, level, filters)
-    noise_sets = _subband_signals(noise, level, filters)
+    clean_sets = [dwpt(s, level, filters) for s in clean]
+    noise_sets = [dwpt(s, level, filters) for s in noise]
     for label, sets in (("clean", clean_sets), ("noise", noise_sets)):
         for i, s in enumerate(sets):
             if s.band_length < spec.frame_size:
@@ -171,27 +147,21 @@ def subband_gain(
     w_n: np.ndarray,
     spec: FrameSpec,
     params: NmfParams | None = None,
-) -> GainSequence:
-    """Per-sample suppression gain for one subband sequence.
+) -> np.ndarray:
+    """Per-sample suppression gain in [0, 1] for one subband sequence.
 
-    The squared frame matrix is encoded against the stacked dictionary,
-    the square-root ratio gain is formed per entry, and the gain matrix
-    is de-framed by averaging overlap-add.  Samples past the last full
+    The square root of `separation_gain` on the squared frame matrix is
+    de-framed by averaging overlap-add.  Samples past the last full
     frame keep the final de-framed value.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    w_stack = np.hstack([w_s, w_n])
-    if params is None:
-        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
     v = square_elementwise(frame_signal(s_b, spec))
-    h = encode(v, w_stack, params)
-    speech_part, noise_part = split_reconstruction(w_s, w_n, h)
-    gain_mat = np.sqrt(wiener_gain(speech_part, noise_part, params.epsilon))
+    gain_mat = np.sqrt(separation_gain(v, w_s, w_n, params))
     g = overlap_add(gain_mat, spec, len(s_b))
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):
         g[covered:] = g[covered - 1]
-    return GainSequence(np.clip(g, 0.0, 1.0))
+    return np.clip(g, 0.0, 1.0)
 
 
 def enhance_subbands(
@@ -218,7 +188,7 @@ def enhance_subbands(
             shat = band.copy()
         else:
             g = subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
-            shat = band * g.values
+            shat = band * g
         if normalize:
             if bm.sigma_clean == 0.0:
                 shat = np.zeros_like(shat)
@@ -241,16 +211,9 @@ def enhance_dwpt(
         raise ValueError(
             f"model was trained with filter '{model.filter_name}', got '{filters.name}'"
         )
-    if model.sample_rate is not None and noisy.sample_rate != model.sample_rate:
-        raise ValueError(
-            f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
-        )
+    _check_rate(model, noisy)
     s = dwpt(noisy, model.level, filters)
     enhanced = enhance_subbands(
         s, model, params, normalize=normalize, force_unit_gain=force_unit_gain
     )
-    out = idwpt(enhanced, filters)
-    n = len(noisy.samples)
-    if len(out) < n:
-        out = np.concatenate([out, np.zeros(n - len(out))])
-    return Signal(out[:n], noisy.sample_rate)
+    return Signal(idwpt(enhanced, filters), noisy.sample_rate)

@@ -161,20 +161,6 @@ def test_roundtrip_command(corpus, capsys):
     assert float(mse_line.split("=")[1]) < 1e-20
 
 
-def test_dump_spectrogram(corpus):
-    model = corpus / "model.snm"
-    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
-         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
-    dump = corpus / "spec.csv"
-    run(["enhance", "--model", model, "--in", corpus / "noisy.wav",
-         "--out", corpus / "e.wav", "--iters-encode", "10", "--seed", "0",
-         "--dump-spectrogram", dump])
-    with open(dump, newline="") as f:
-        rows = list(csv.reader(f))
-    assert len(rows) > 10
-    assert len(rows[0]) == 64 // 2 + 1
-
-
 def test_config_file_and_flag_precedence(corpus, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -100,19 +100,31 @@ def test_frame_then_overlap_add_reconstructs():
 
 
 def test_overlap_add_brute_force_average():
-    # every output sample is the mean of all frame entries that land on it
+    # every output sample is the mean of all frame entries that land on it,
+    # summed in column order, so the result is bit-identical.  Geometries
+    # (size, shift, frames, target_len): overlapping, a shift that does not
+    # divide the size, no overlap, shift 1, one frame, truncated and
+    # zero-padded targets, and the paper's 1000/20
     r = np.random.default_rng(7)
-    spec = FrameSpec(6, 2)
-    frames = r.uniform(-1, 1, (6, 4))
-    n = (4 - 1) * 2 + 6
-    acc = np.zeros(n)
-    cnt = np.zeros(n)
-    for j in range(4):
-        for i in range(6):
-            acc[j * 2 + i] += frames[i, j]
-            cnt[j * 2 + i] += 1
-    out = overlap_add(frames, spec, n)
-    np.testing.assert_allclose(out, acc / cnt, atol=1e-14)
+    for size, shift, n_frames, target_len in [
+        (6, 2, 4, 12),
+        (7, 3, 5, 19),
+        (7, 3, 5, 25),
+        (5, 5, 3, 15),
+        (8, 1, 6, 10),
+        (9, 4, 1, 9),
+        (1000, 20, 40, 1790),
+    ]:
+        frames = r.uniform(-1, 1, (size, n_frames))
+        n = max((n_frames - 1) * shift + size, target_len)
+        acc = np.zeros(n)
+        cnt = np.zeros(n)
+        for j in range(n_frames):
+            for i in range(size):
+                acc[j * shift + i] += frames[i, j]
+                cnt[j * shift + i] += 1
+        out = overlap_add(frames, FrameSpec(size, shift), target_len)
+        np.testing.assert_array_equal(out, (acc / np.maximum(cnt, 1.0))[:target_len])
 
 
 @settings(deadline=None, max_examples=60)

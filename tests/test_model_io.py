@@ -1,5 +1,7 @@
 """Bit-exact model serialization and the header's structural checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -205,4 +207,44 @@ def test_unknown_kind(tmp_path):
         [],
     )
     with pytest.raises(ValueError, match="unknown model kind"):
+        load_model(p)
+
+
+# sha256 of the v1 files saved from the hand-built models below; fixed
+# arrays and no training, so the bytes do not depend on BLAS.
+GOLDEN_STFT_SHA256 = "9f6b72137fefbf88874f0ef246b75b0bee65860b6277cea81632e7abadc4cc5c"
+GOLDEN_DWPT_SHA256 = "73310b2c801ef41903d71462b9373ffec804589f8790b3c84318172acf7addbb"
+
+
+def test_saved_bytes_match_golden_digest(tmp_path):
+    grid = np.arange(1.0, 16.0).reshape(5, 3) / 7.0
+    stft_model = StftBasisModel(
+        grid[:, :1], grid[:, 1:], FrameSpec(8, 4), sample_rate=8000
+    )
+    bands = [
+        BandModel(grid[:4, :1] * (b + 1), grid[:4, 1:] / (b + 1), sigma_clean=0.25 * b + 0.5)
+        for b in range(2)
+    ]
+    dwpt_model = SubbandBasisModel(
+        level=1, filter_name="haar", frame_spec=FrameSpec(4, 2), per_band=bands,
+        sample_rate=16000,
+    )
+    for model, digest in ((stft_model, GOLDEN_STFT_SHA256), (dwpt_model, GOLDEN_DWPT_SHA256)):
+        p = tmp_path / "golden.snm"
+        save_model(model, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+
+def test_level_zero_rejected(tmp_path):
+    # one band at level 0 passes the band count, but no transform has level 0
+    p = tmp_path / "m.snm"
+    blob = np.full((4, 1), 0.5).tobytes()
+    build_file(
+        p,
+        ["format_version: 1", "model_kind: dwpt", "sample_rate: 8000",
+         "frame_size: 4", "frame_shift: 2", "level: 0", "filter_name: haar",
+         "matrix w_speech_0 4 1", "matrix w_noise_0 4 1", "matrix sigma_clean 1 1"],
+        [blob, blob, np.ones((1, 1)).tobytes()],
+    )
+    with pytest.raises(ValueError, match="level must be >= 1"):
         load_model(p)

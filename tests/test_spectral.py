@@ -14,6 +14,7 @@ from subband_nmf import (
     istft,
     mix_at_snr,
     MixSpec,
+    separation_gain,
     ssnr,
     stft,
     synth_white_noise,
@@ -94,6 +95,36 @@ def test_istft_pads_past_coverage():
     y = istft(s, 100)
     assert len(y) == 100
     np.testing.assert_array_equal(y[64:], 0.0)
+
+
+@pytest.mark.parametrize(
+    "size, shift, n_frames, target_len, window",
+    [
+        (16, 4, 5, 32, "hamming"),
+        (15, 7, 4, 40, "hann"),
+        (8, 8, 3, 20, "rectangular"),
+        (32, 1, 6, 30, "hann"),
+        (256, 80, 9, 896, "hamming"),
+    ],
+)
+def test_istft_brute_force_weighted_sum(size, shift, n_frames, target_len, window):
+    # window-weighted frames over the summed squared window, each sample
+    # accumulated in column order, so the result is bit-identical
+    r = np.random.default_rng(11)
+    bins = size // 2 + 1
+    values = r.normal(size=(bins, n_frames)) + 1j * r.normal(size=(bins, n_frames))
+    spec = ComplexSpectrogram(values, FrameSpec(size, shift), window)
+    frames = np.fft.irfft(spec.values, n=size, axis=0)
+    w = get_window(window, size)
+    n = max((n_frames - 1) * shift + size, target_len)
+    num = np.zeros(n)
+    den = np.zeros(n)
+    for k in range(n_frames):
+        for i in range(size):
+            num[k * shift + i] += w[i] * frames[i, k]
+            den[k * shift + i] += w[i] * w[i]
+    expected = (num / np.maximum(den, 1e-8))[:target_len]
+    np.testing.assert_array_equal(istft(spec, target_len), expected)
 
 
 @settings(deadline=None, max_examples=40)
@@ -265,3 +296,14 @@ def test_enhance_bad_gain_mode():
     model = _tiny_models()
     with pytest.raises(ValueError, match="gain_on_magnitude"):
         enhance_stft(make_tone(440.0, 0.3), model, gain_on_magnitude="squared")
+
+
+def test_separation_gain_rejects_overflowed_reconstruction():
+    # the Gram matrix overflows, so every activation drops to the floor
+    # epsilon and both class reconstructions overflow: inf / inf is nan
+    w = np.full((4, 4), 1e308)
+    params = NmfParams(rank=8, max_iters=1, epsilon=0.5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="gain values must be finite"
+    ):
+        separation_gain(np.full((4, 3), 1e-300), w, w, params)
