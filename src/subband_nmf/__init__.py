@@ -73,4 +73,5 @@ __all__ = [
     "train_dwpt_model",
     "train_stft_model",
     "wiener_gain",
+    "write_wav",
 ]

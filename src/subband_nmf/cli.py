@@ -13,7 +13,9 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +210,21 @@ def cmd_enhance(args) -> int:
         else:
             pairs = [(inputs[0], out)]
     tasks = [(p, q, model, cfg) for p, q in pairs]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for done in pool.map(_enhance_one, tasks):
-                print(f"wrote {done}")
-    else:
-        for task in tasks:
-            print(f"wrote {_enhance_one(task)}")
+    parallel = args.jobs > 1 and len(tasks) > 1
+    failed = 0
+    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
+        # one call per file, so that a bad file costs only its own output
+        calls = [pool.submit(_enhance_one, t).result if parallel else partial(_enhance_one, t)
+                 for t in tasks]
+        for task, call in zip(tasks, calls):
+            try:
+                print(f"wrote {call()}")
+            except ValueError as e:
+                failed += 1
+                print(f"error: {task[0]}: {e}", file=sys.stderr)
+    if failed:
+        print(f"error: {failed} of {len(tasks)} inputs failed", file=sys.stderr)
+        return 1
     return 0
 
 

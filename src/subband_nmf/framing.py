@@ -103,10 +103,12 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndar
 
 
 def square_elementwise(frames: np.ndarray) -> np.ndarray:
-    """Square every entry, producing a nonnegative matrix."""
+    """Square every entry, producing a nonnegative matrix.
+
+    Callers validate: `encode` and `factorize` check the squared matrix
+    where it enters the NMF, so the entries are not scanned here.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    if not np.all(np.isfinite(frames)):
-        raise ValueError("frame matrix must be finite")
     return frames * frames
 
 

@@ -61,12 +61,11 @@ def _objective(v, w, h):
     return float(np.sum(r * r))
 
 
-def _update_h(v, w, h, eps):
-    # H <- H .* (W^T V) ./ (W^T W H), denominator floored, result clamped
-    # up to eps so no activation collapses to an absorbing zero.
-    num = w.T @ v
-    den = (w.T @ w) @ h
-    h = h * (num / np.maximum(den, eps))
+def _update_h(wt_v, gram, h, eps):
+    # H <- H .* (W^T V) ./ (W^T W H) from the products W^T V and W^T W,
+    # denominator floored, result clamped up to eps so no activation
+    # collapses to an absorbing zero.
+    h = h * (wt_v / np.maximum(gram @ h, eps))
     return np.maximum(h, eps)
 
 
@@ -94,7 +93,7 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     h = rng.uniform(eps, 1.0, size=(params.rank, n))
     trace = []
     for _ in range(params.max_iters):
-        h = _update_h(v, w, h, eps)
+        h = _update_h(w.T @ v, w.T @ w, h, eps)
         w = _update_w(v, w, h, eps)
         trace.append(_objective(v, w, h))
     return NmfResult(w=w, h=h, objective_trace=trace)
@@ -124,8 +123,7 @@ def encode(
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     for _ in range(params.max_iters):
-        h = h * (wt_v / np.maximum(gram @ h, eps))
-        h = np.maximum(h, eps)
+        h = _update_h(wt_v, gram, h, eps)
         if objective_trace is not None:
             objective_trace.append(_objective(v, w_fixed, h))
     return h
@@ -137,11 +135,10 @@ def split_reconstruction(
     """Split a stacked-dictionary encoding into class reconstructions.
 
     h's first cols(w_s) rows activate the speech dictionary, the rest
-    the noise dictionary; returns (w_s @ h_s, w_n @ h_n).
+    the noise dictionary; returns (w_s @ h_s, w_n @ h_n).  Callers
+    validate: `encode` checks the stacked dictionary and returns h, so
+    only the row partition is checked here.
     """
-    w_s = check_nonneg_matrix(w_s, "w_s")
-    w_n = check_nonneg_matrix(w_n, "w_n")
-    h = check_nonneg_matrix(h, "h")
     r_s = w_s.shape[1]
     if h.shape[0] != r_s + w_n.shape[1]:
         raise ValueError(

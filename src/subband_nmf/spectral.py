@@ -23,7 +23,7 @@ from .defaults import (
     NOISE_RANK,
     SPEECH_RANK,
 )
-from .framing import FrameSpec, Signal, _overlap_sum, frame_signal
+from .framing import FrameSpec, Signal, _overlap_sum, check_nonneg_matrix, frame_signal
 from .nmf import NmfParams, encode, factorize, split_reconstruction
 
 __all__ = [
@@ -133,8 +133,7 @@ def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
     for name, w in (("w_speech", w_speech), ("w_noise", w_noise)):
         if w.ndim != 2 or w.shape[0] != rows:
             raise ValueError(f"{where}{name} must have {rows} rows")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError(f"{where}{name} must be finite and nonnegative")
+        check_nonneg_matrix(w, f"{where}{name}")
 
 
 def _check_rate(model, noisy: Signal) -> None:
@@ -227,7 +226,7 @@ def separation_gain(
     v is encoded against the stacked dictionary [w_s w_n] (by default
     with ENCODE_ITERS sweeps), the encoding is split into the two class
     reconstructions, and `wiener_gain` of those is returned.  A gain
-    that is not finite (the reconstructions overflowed) is rejected.
+    that is not finite (the encoding overflowed) is rejected.
     """
     w_stack = np.hstack([w_s, w_n])
     if params is None:
@@ -236,7 +235,10 @@ def separation_gain(
     speech_part, noise_part = split_reconstruction(w_s, w_n, h)
     gain = wiener_gain(speech_part, noise_part, params.epsilon)
     if not np.all(np.isfinite(gain)):
-        raise ValueError("gain values must be finite")
+        raise ValueError(
+            "gain values must be finite: encoding the feature matrix overflowed "
+            "float64, so the input level is too high for this model"
+        )
     return gain
 
 
@@ -260,9 +262,5 @@ def enhance_stft(
     gain = separation_gain(v, model.w_speech, model.w_noise, params)
     if gain_on_magnitude == "sqrt":
         gain = np.sqrt(gain)
-    enhanced = ComplexSpectrogram(
-        values=spec.values * gain,
-        frame_spec=model.frame_spec,
-        window_name=model.window_name,
-    )
-    return Signal(istft(enhanced, len(noisy.samples)), noisy.sample_rate)
+    spec.values *= gain
+    return Signal(istft(spec, len(noisy.samples)), noisy.sample_rate)

@@ -206,12 +206,22 @@ def enhance_dwpt(
     normalize: bool = True,
     force_unit_gain: bool = False,
 ) -> Signal:
-    """Full subband enhancement: decompose, gain, normalize, resynthesize."""
+    """Full subband enhancement: decompose, gain, normalize, resynthesize.
+
+    The input needs more than (frame_size - 1) * 2^level samples, so
+    that every subband holds at least one frame.
+    """
     if filters.name != model.filter_name:
         raise ValueError(
             f"model was trained with filter '{model.filter_name}', got '{filters.name}'"
         )
     _check_rate(model, noisy)
+    shortest = (model.frame_spec.frame_size - 1) * model.n_bands + 1
+    if len(noisy) < shortest:
+        raise ValueError(
+            f"input too short: {len(noisy)} samples, the model needs at least "
+            f"{shortest} so that each of its {model.n_bands} subbands holds one frame"
+        )
     s = dwpt(noisy, model.level, filters)
     enhanced = enhance_subbands(
         s, model, params, normalize=normalize, force_unit_gain=force_unit_gain

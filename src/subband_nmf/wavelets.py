@@ -191,14 +191,12 @@ def dwpt(signal, level: int, filters: WaveletFilters) -> SubbandSet:
 
 
 def idwpt(s: SubbandSet, filters: WaveletFilters) -> np.ndarray:
-    """Merge a SubbandSet back up the tree and strip the padding."""
+    """Merge a SubbandSet back up the tree and strip the padding.
+
+    The band count (2^level) and the shared band length are the
+    invariants `SubbandSet` checks when it is built.
+    """
     bands = [np.asarray(b, dtype=np.float64) for b in s.subbands]
-    count = len(bands)
-    if count < 2 or count & (count - 1) != 0:
-        raise ValueError("subband count must be a power of two")
-    lengths = {len(b) for b in bands}
-    if len(lengths) != 1:
-        raise ValueError("subbands must share one length")
     while len(bands) > 1:
         bands = [
             synthesis_merge(bands[i], bands[i + 1], filters)

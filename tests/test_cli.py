@@ -104,6 +104,35 @@ def test_batch_enhance_and_jobs_agree(corpus):
         assert a == b and len(a) > 44
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bad_file_does_not_abort_batch(corpus, capsys, jobs):
+    model = corpus / "model.snm"
+    run(["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
+         "--out", model, *TRAIN_FLAGS])
+    good, mixed = corpus / "good", corpus / "mixed"
+    good.mkdir()
+    mixed.mkdir()
+    noisy = read_wav(corpus / "noisy.wav")[0]
+    for name in ("n0.wav", "n2.wav"):
+        write_wav(good / name, noisy)
+        write_wav(mixed / name, noisy)
+    # 160 samples leave 40 per level-2 subband, less than one 64-sample frame
+    write_wav(mixed / "n1.wav", Signal(noisy.samples[:160], RATE))
+    flags = ["--iters-encode", "20", "--seed", "0", "--jobs", jobs]
+    assert run(["enhance", "--model", model, "--in", good, "--out", corpus / "out_good",
+                *flags]) == 0
+    capsys.readouterr()
+    assert run(["enhance", "--model", model, "--in", mixed, "--out", corpus / "out_mixed",
+                *flags]) == 1
+    err = capsys.readouterr().err
+    assert "n1.wav: input too short: 160 samples" in err
+    assert "1 of 3 inputs failed" in err
+    assert not (corpus / "out_mixed" / "n1.wav").exists()
+    for name in ("n0.wav", "n2.wav"):
+        assert (corpus / "out_mixed" / name).read_bytes() == (
+            corpus / "out_good" / name).read_bytes()
+
+
 def test_mix_equal_power_alpha_one(tmp_path, capsys):
     # clean square wave and constant noise with exactly representable
     # samples and equal power: alpha = 1 and the sum is exact in PCM16

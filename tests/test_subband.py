@@ -12,6 +12,7 @@ from subband_nmf import (
     SubbandBasisModel,
     dwpt,
     enhance_dwpt,
+    enhance_stft,
     enhance_subbands,
     get_filters,
     mix_at_snr,
@@ -19,6 +20,7 @@ from subband_nmf import (
     subband_gain,
     synth_white_noise,
     train_dwpt_model,
+    train_stft_model,
 )
 from subband_nmf.framing import frame_count, frame_signal, overlap_add, rms, square_elementwise
 from subband_nmf.nmf import encode, split_reconstruction
@@ -215,3 +217,39 @@ def test_enhance_band_count_mismatch():
     s = dwpt(make_signal(2048), 3, FILT)
     with pytest.raises(ValueError, match="bands"):
         enhance_subbands(s, model)
+
+
+def test_enhance_rejects_input_shorter_than_one_frame_per_band():
+    # level 2, frame 64: each band holds one frame from 63 * 4 + 1 samples on
+    model = tiny_model(frame=FrameSpec(64, 16))
+    with pytest.raises(ValueError, match="input too short: 160 samples, .* at least 253"):
+        enhance_dwpt(make_tone(300.0, 160 / 8000), model, FILT)
+    with pytest.raises(ValueError, match="input too short: 252 samples"):
+        enhance_dwpt(make_signal(252), model, FILT)
+    assert len(enhance_dwpt(make_signal(253), model, FILT)) == 253
+
+
+def test_extreme_amplitudes_enhance_or_raise_value_error():
+    # every finite input is either enhanced to a finite signal of its own
+    # length or rejected with ValueError, never another exception; near
+    # 1e153 the squared features overflow inside the encoding
+    dwpt_model = tiny_model()
+    stft_model = train_stft_model(
+        [make_tone(500.0, 1.5)], [synth_white_noise(1.5, 8000, 0, 0.5)], FrameSpec(32, 8),
+        speech_params=small_params(2), noise_params=small_params(3),
+    )
+    x = make_signal(1000).samples
+    x = x / np.max(np.abs(x))
+    for exponent in [*range(-300, 301, 10), 153, 153.5, 154, 155]:
+        noisy = Signal(x * 10.0**exponent, 8000)
+        for enhance in (
+            lambda: enhance_dwpt(noisy, dwpt_model, FILT, small_params(1, 10)),
+            lambda: enhance_stft(noisy, stft_model, small_params(1, 10)),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    out = enhance()
+                except ValueError:
+                    continue
+            assert len(out) == len(noisy)
+            assert np.all(np.isfinite(out.samples))
