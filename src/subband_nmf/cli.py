@@ -142,11 +142,16 @@ def resolve_config(args) -> CliConfig:
 
 
 def _expand_audio(paths) -> list:
-    """Expand directories to their .wav members in lexicographic order."""
+    """Expand directories to their .wav files in lexicographic order.
+
+    Only regular files are taken from a directory, so a subdirectory
+    named like a WAV file is skipped.
+    """
     out = []
     for p in map(Path, paths):
         if p.is_dir():
-            members = sorted(q for q in p.iterdir() if q.suffix.lower() == ".wav")
+            members = sorted(q for q in p.iterdir()
+                             if q.suffix.lower() == ".wav" and q.is_file())
             if not members:
                 raise ValueError(f"{p}: directory contains no .wav files")
             out.extend(members)
@@ -182,8 +187,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+# The model and config every `_enhance_one` call uses, set once per process
+# by `_set_enhance_state`: in each pool worker through the pool initializer,
+# so that a task carries only its two paths.
+_enhance_state = None
+
+
+def _set_enhance_state(model, cfg):
+    global _enhance_state
+    _enhance_state = (model, cfg)
+
+
 def _enhance_one(task):
-    in_path, out_path, model, cfg = task
+    in_path, out_path = task
+    model, cfg = _enhance_state
     noisy, _ = read_wav(in_path)
     # encode takes the rank from the model's dictionaries, not from params
     params = NmfParams(rank=1, max_iters=cfg.iters_encode, epsilon=cfg.epsilon, seed=cfg.seed)
@@ -203,16 +220,21 @@ def cmd_enhance(args) -> int:
     out = Path(args.out)
     if len(inputs) > 1:
         out.mkdir(parents=True, exist_ok=True)
-        pairs = [(p, out / p.name) for p in inputs]
+        tasks = [(p, out / p.name) for p in inputs]
     else:
         if out.is_dir():
-            pairs = [(inputs[0], out / inputs[0].name)]
+            tasks = [(inputs[0], out / inputs[0].name)]
         else:
-            pairs = [(inputs[0], out)]
-    tasks = [(p, q, model, cfg) for p, q in pairs]
+            tasks = [(inputs[0], out)]
     parallel = args.jobs > 1 and len(tasks) > 1
+    if parallel:
+        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_enhance_state,
+                                   initargs=(model, cfg))
+    else:
+        _set_enhance_state(model, cfg)
+        pool = nullcontext()
     failed = 0
-    with ProcessPoolExecutor(max_workers=args.jobs) if parallel else nullcontext() as pool:
+    with pool:
         # one call per file, so that a bad file costs only its own output
         calls = [pool.submit(_enhance_one, t).result if parallel else partial(_enhance_one, t)
                  for t in tasks]
@@ -245,13 +267,12 @@ def cmd_mix(args) -> int:
 def cmd_eval(args) -> int:
     refs = _expand_audio([args.reference])
     tests = _expand_audio([args.test])
-    if len(refs) == 1 and len(tests) == 1:
-        pairs = [(refs[0], tests[0])]
+    if not Path(args.reference).is_dir() and not Path(args.test).is_dir():
+        pairs, unmatched = [(refs[0], tests[0])], []
     else:
         by_name = {p.name: p for p in refs}
         pairs = [(by_name[t.name], t) for t in tests if t.name in by_name]
-        if not pairs:
-            raise ValueError("no reference/test filename matches")
+        unmatched = [t for t in tests if t.name not in by_name]
     rows = []
     for ref_path, test_path in pairs:
         ref, _ = read_wav(ref_path)
@@ -269,6 +290,11 @@ def cmd_eval(args) -> int:
                 w.writerow([name, f"{report.mse:.12g}", f"{report.ssnr_db:.12g}",
                             f"{report.sdi:.12g}"])
         print(f"wrote {args.csv}")
+    for t in unmatched:
+        print(f"error: {t}: no reference named {t.name}", file=sys.stderr)
+    if unmatched:
+        print(f"error: {len(unmatched)} of {len(tests)} inputs failed", file=sys.stderr)
+        return 1
     return 0
 
 

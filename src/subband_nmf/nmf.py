@@ -5,6 +5,12 @@ training), `encode` solves for activations against a frozen dictionary
 (online decomposition).  Both run a fixed iteration count and record the
 squared-error objective after every full sweep so callers can inspect
 convergence.
+
+The objective ||V - WH||^2 is never formed from the m x n residual.  It
+is expanded as ||V||^2 - 2<W^T V, H> + <W^T W, H H^T> (Frobenius inner
+products), whose r x n and r x r products the multiplicative updates form
+anyway, and clamped at 0 because the expansion can cancel to a tiny
+negative value when the fit is exact.
 """
 
 from dataclasses import dataclass, field
@@ -56,9 +62,11 @@ class NmfResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _objective(v, w, h):
-    r = v - w @ h
-    return float(np.sum(r * r))
+def _objective(v_sq, wt_v, gram, h, hht):
+    # ||V - WH||^2 from ||V||^2, W^T V, W^T W, H and H H^T; see the module
+    # docstring.
+    d = v_sq - 2.0 * float(np.sum(wt_v * h)) + float(np.sum(gram * hht))
+    return max(d, 0.0)
 
 
 def _update_h(wt_v, gram, h, eps):
@@ -70,11 +78,12 @@ def _update_h(wt_v, gram, h, eps):
 
 
 def _update_w(v, w, h, eps):
-    # W <- W .* (V H^T) ./ (W H H^T), same flooring policy.
+    # W <- W .* (V H^T) ./ (W H H^T), same flooring policy.  Also returns
+    # H H^T for the objective.
     num = v @ h.T
-    den = w @ (h @ h.T)
-    w = w * (num / np.maximum(den, eps))
-    return np.maximum(w, eps)
+    hht = h @ h.T
+    w = w * (num / np.maximum(w @ hht, eps))
+    return np.maximum(w, eps), hht
 
 
 def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
@@ -83,7 +92,10 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     Initialization draws W then H from uniform(epsilon, 1) with the
     seeded generator.  Each iteration updates H first, then W, then
     appends the objective d = sum((v - WH)^2) to the trace; d is
-    non-increasing up to roundoff.
+    non-increasing up to roundoff.  d comes from the new W's W^T V and
+    W^T W, which the next H update reuses, and the H H^T of the W update,
+    so the trace costs r x n and r x r elementwise sums per sweep, plus
+    one extra W^T V and W^T W after the last.
     """
     v = check_nonneg_matrix(v, "v")
     m, n = v.shape
@@ -91,11 +103,14 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     rng = np.random.default_rng(params.seed)
     w = rng.uniform(eps, 1.0, size=(m, params.rank))
     h = rng.uniform(eps, 1.0, size=(params.rank, n))
+    v_sq = float(np.sum(v * v))
+    wt_v, gram = w.T @ v, w.T @ w
     trace = []
     for _ in range(params.max_iters):
-        h = _update_h(w.T @ v, w.T @ w, h, eps)
-        w = _update_w(v, w, h, eps)
-        trace.append(_objective(v, w, h))
+        h = _update_h(wt_v, gram, h, eps)
+        w, hht = _update_w(v, w, h, eps)
+        wt_v, gram = w.T @ v, w.T @ w
+        trace.append(_objective(v_sq, wt_v, gram, h, hht))
     return NmfResult(w=w, h=h, objective_trace=trace)
 
 
@@ -109,7 +124,9 @@ def encode(
 
     Only the H update runs; w_fixed is never modified.  The rank comes
     from w_fixed's column count (params.rank is ignored here).  Pass a
-    list as objective_trace to collect the per-iteration objective.
+    list as objective_trace to collect the per-iteration objective, formed
+    like `factorize`'s from the fixed W^T V and W^T W and each sweep's
+    H H^T.
     """
     v = check_nonneg_matrix(v, "v")
     w_fixed = check_nonneg_matrix(w_fixed, "w_fixed")
@@ -122,10 +139,11 @@ def encode(
     h = rng.uniform(eps, 1.0, size=(w_fixed.shape[1], v.shape[1]))
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
+    v_sq = float(np.sum(v * v)) if objective_trace is not None else 0.0
     for _ in range(params.max_iters):
         h = _update_h(wt_v, gram, h, eps)
         if objective_trace is not None:
-            objective_trace.append(_objective(v, w_fixed, h))
+            objective_trace.append(_objective(v_sq, wt_v, gram, h, h @ h.T))
     return h
 
 

@@ -176,10 +176,16 @@ def enhance_subbands(
     force_unit_gain skips the gain estimate (debug path: with
     normalize=False the result round-trips to the input).  When a band's
     clean-training rms is zero the band is silenced rather than scaled.
+    Every band must hold at least one frame of the model's frame size.
     """
     if len(s.subbands) != model.n_bands:
         raise ValueError(
             f"decomposition has {len(s.subbands)} bands, model expects {model.n_bands}"
+        )
+    if s.band_length < model.frame_spec.frame_size:
+        raise ValueError(
+            f"subbands too short: {s.band_length} samples each, the model's "
+            f"frame size is {model.frame_spec.frame_size}"
         )
     eps = params.epsilon if params is not None else EPSILON
     out = []

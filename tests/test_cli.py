@@ -133,6 +133,23 @@ def test_bad_file_does_not_abort_batch(corpus, capsys, jobs):
             corpus / "out_good" / name).read_bytes()
 
 
+def test_subdirectory_named_like_wav_is_skipped(corpus, capsys):
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    batch = corpus / "batch"
+    batch.mkdir()
+    noisy = read_wav(corpus / "noisy.wav")[0]
+    write_wav(batch / "a.wav", noisy)
+    (batch / "b.wav").mkdir()
+    write_wav(batch / "c.wav", noisy)
+    out = corpus / "out"
+    assert run(["enhance", "--model", model, "--in", batch, "--out", out,
+                "--iters-encode", "20", "--seed", "0"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == ["a.wav", "c.wav"]
+
+
 def test_mix_equal_power_alpha_one(tmp_path, capsys):
     # clean square wave and constant noise with exactly representable
     # samples and equal power: alpha = 1 and the sum is exact in PCM16
@@ -170,6 +187,43 @@ def test_eval_csv_format(corpus):
     assert len(rows) == 2
     assert rows[1][0].endswith("noisy.wav")
     float(rows[1][1]), float(rows[1][2]), float(rows[1][3])
+
+
+def test_eval_reports_tests_without_reference(corpus, capsys):
+    refs, tests = corpus / "refs", corpus / "tests"
+    refs.mkdir()
+    tests.mkdir()
+    clean, _ = read_wav(corpus / "clean.wav")
+    noisy, _ = read_wav(corpus / "noisy.wav")
+    for name in ("a.wav", "c.wav"):
+        write_wav(refs / name, clean)
+    for name in ("a.wav", "b.wav", "c.wav", "d.wav"):
+        write_wav(tests / name, noisy)
+    csv_path = corpus / "report.csv"
+    assert run(["eval", "--reference", refs, "--test", tests, "--csv", csv_path]) == 1
+    captured = capsys.readouterr()
+    files = [line[len("file="):] for line in captured.out.splitlines()
+             if line.startswith("file=")]
+    assert files == [str(tests / "a.wav"), str(tests / "c.wav")]
+    assert captured.err.splitlines() == [
+        f"error: {tests / 'b.wav'}: no reference named b.wav",
+        f"error: {tests / 'd.wav'}: no reference named d.wav",
+        "error: 2 of 4 inputs failed",
+    ]
+    with open(csv_path, newline="") as f:
+        assert [row[0] for row in csv.reader(f)][1:] == files
+
+
+def test_eval_matches_single_file_directories_by_name(corpus, capsys):
+    refs, tests = corpus / "refs", corpus / "tests"
+    refs.mkdir()
+    tests.mkdir()
+    write_wav(refs / "a.wav", read_wav(corpus / "clean.wav")[0])
+    write_wav(tests / "b.wav", read_wav(corpus / "noisy.wav")[0])
+    assert run(["eval", "--reference", refs, "--test", tests]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {tests / 'b.wav'}: no reference named b.wav" in captured.err
 
 
 def test_roundtrip_command(corpus, capsys):

@@ -40,6 +40,68 @@ def test_trace_matches_final_objective():
     assert res.objective_trace[-1] == pytest.approx(d, rel=1e-12)
 
 
+def _residual_objective(v, w, h):
+    r = v - w @ h
+    return float(np.sum(r * r))
+
+
+def _residual_factorize(v, params):
+    # the update loop with the objective taken from the m x n residual
+    eps = params.epsilon
+    rng = np.random.default_rng(params.seed)
+    w = rng.uniform(eps, 1.0, size=(v.shape[0], params.rank))
+    h = rng.uniform(eps, 1.0, size=(params.rank, v.shape[1]))
+    trace = []
+    for _ in range(params.max_iters):
+        h = np.maximum(h * ((w.T @ v) / np.maximum((w.T @ w) @ h, eps)), eps)
+        w = np.maximum(w * ((v @ h.T) / np.maximum(w @ (h @ h.T), eps)), eps)
+        trace.append(_residual_objective(v, w, h))
+    return w, h, trace
+
+
+def _shape_case(name):
+    r = np.random.default_rng(17)
+    if name == "tall":
+        return r.uniform(0, 1, (40, 12)), 4, 200
+    if name == "wide":
+        return r.uniform(0, 1, (12, 40)), 4, 200
+    if name == "rank_above_cols":
+        return r.uniform(0, 1, (20, 3)), 6, 300
+    return planted_instance(16, 40, 5, 0)[2], 5, 1000
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "rank_above_cols", "planted"])
+def test_factorize_matches_residual_loop(case):
+    # same factor bits as the loop that forms the residual; the Gram-form
+    # trace differs by roundoff, which scales with ||V||^2 (the expansion
+    # cancels), so that is the floor of the tolerance near an exact fit
+    v, rank, iters = _shape_case(case)
+    params = NmfParams(rank=rank, max_iters=iters, seed=5)
+    res = factorize(v, params)
+    w, h, trace = _residual_factorize(v, params)
+    np.testing.assert_array_equal(res.w, w)
+    np.testing.assert_array_equal(res.h, h)
+    assert res.objective_trace == pytest.approx(trace, rel=1e-12, abs=1e-12 * np.sum(v * v))
+    assert min(res.objective_trace) >= 0.0
+
+
+def test_encode_trace_matches_residual_and_stays_nonnegative():
+    # at this planted fit the unclamped Gram form dips below zero by
+    # roundoff on hundreds of sweeps
+    w0, _, v = planted_instance(16, 40, 5, 1)
+    params = NmfParams(rank=5, max_iters=3000, seed=1)
+    trace = []
+    encode(v, w0, params, objective_trace=trace)
+    assert min(trace) >= 0.0
+    direct = []
+    h = np.random.default_rng(params.seed).uniform(params.epsilon, 1.0, (5, v.shape[1]))
+    for _ in range(params.max_iters):
+        h = np.maximum(h * ((w0.T @ v) / np.maximum((w0.T @ w0) @ h, params.epsilon)),
+                       params.epsilon)
+        direct.append(_residual_objective(v, w0, h))
+    assert trace == pytest.approx(direct, rel=1e-12, abs=1e-12 * np.sum(v * v))
+
+
 def test_factorize_deterministic():
     r = np.random.default_rng(8)
     v = r.uniform(0, 1, (9, 11))

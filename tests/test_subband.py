@@ -229,6 +229,17 @@ def test_enhance_rejects_input_shorter_than_one_frame_per_band():
     assert len(enhance_dwpt(make_signal(253), model, FILT)) == 253
 
 
+def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
+    model = tiny_model(frame=FrameSpec(64, 16))
+    short = dwpt(make_tone(300.0, 160 / 8000), 2, FILT)
+    for unit in (False, True):
+        with pytest.raises(ValueError, match="40 samples each, .* frame size is 64"):
+            enhance_subbands(short, model, force_unit_gain=unit)
+    s = dwpt(make_signal(256), 2, FILT)
+    assert s.band_length == 64
+    assert enhance_subbands(s, model).band_length == 64
+
+
 def test_extreme_amplitudes_enhance_or_raise_value_error():
     # every finite input is either enhanced to a finite signal of its own
     # length or rejected with ValueError, never another exception; near
