@@ -17,11 +17,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import defaults
-from .framing import FrameSpec, Signal
+from .framing import FrameSpec
 from .metrics import evaluate
 from .mixing import MixSpec, mix_at_snr
 from .model_io import load_model, save_model
@@ -38,35 +39,45 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False
 
 @dataclass
 class CliConfig:
-    method: str
-    frame_size: int
-    frame_shift: int
-    level: int
-    filter_name: str
-    speech_rank: int
-    noise_rank: int
-    iters_train: int
-    iters_encode: int
-    epsilon: float
-    seed: int
-    normalize: bool
-    gain_on_magnitude: str
+    """The train/enhance settings; each field's default is the built-in one.
+
+    frame_size and frame_shift default to the method's geometry, and seed
+    to $SUBBAND_NMF_SEED, then DEFAULT_SEED.  Numeric values are checked by
+    the FrameSpec and NmfParams built from them, so only the two choices
+    a config file can set past argparse are checked here.
+    """
+
+    method: str = "dwpt-nmf"
+    frame_size: int | None = None
+    frame_shift: int | None = None
+    level: int = defaults.DWPT_LEVEL
+    filter_name: str = defaults.DEFAULT_FILTER
+    speech_rank: int = defaults.SPEECH_RANK
+    noise_rank: int = defaults.NOISE_RANK
+    iters_train: int = defaults.TRAIN_ITERS
+    iters_encode: int = defaults.ENCODE_ITERS
+    epsilon: float = defaults.EPSILON
+    seed: int | None = None
+    normalize: bool = True
+    gain_on_magnitude: str = "direct"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got '{self.method}'")
-        for name in ("frame_size", "frame_shift", "level", "speech_rank",
-                     "noise_rank", "iters_train", "iters_encode", "seed"):
-            if getattr(self, name) < (0 if name == "seed" else 1):
-                raise ValueError(f"{name} must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if self.gain_on_magnitude not in ("direct", "sqrt"):
             raise ValueError("gain_on_magnitude must be 'direct' or 'sqrt'")
+        if self.method == "stft-nmf":
+            size, shift = defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT
+        else:
+            size, shift = defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT
+        self.frame_size = size if self.frame_size is None else self.frame_size
+        self.frame_shift = shift if self.frame_shift is None else self.frame_shift
+        if self.seed is None:
+            self.seed = _default_seed()
 
 
-# Config-file keys and their value types, in field order.
-_CONFIG_KEYS = {f.name: f.type for f in fields(CliConfig)}
+# Config-file keys and their value types (int for `int | None`), in field order.
+_CONFIG_KEYS = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(CliConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -94,10 +105,11 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _env_seed() -> int | None:
+def _default_seed() -> int:
+    """The seed used when none is given: $SUBBAND_NMF_SEED if set, else DEFAULT_SEED."""
     raw = os.environ.get(defaults.SEED_ENV_VAR)
     if raw is None:
-        return None
+        return defaults.DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
@@ -106,39 +118,11 @@ def _env_seed() -> int | None:
 
 def resolve_config(args) -> CliConfig:
     """Merge flags > config file > environment seed > defaults."""
-    file_vals = parse_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, fallback):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_vals:
-            return file_vals[name]
-        return fallback
-
-    method = pick("method", "dwpt-nmf")
-    if method == "stft-nmf":
-        size, shift = defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT
-    else:
-        size, shift = defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT
-    seed_fallback = _env_seed()
-    if seed_fallback is None:
-        seed_fallback = defaults.DEFAULT_SEED
-    return CliConfig(
-        method=method,
-        frame_size=pick("frame_size", size),
-        frame_shift=pick("frame_shift", shift),
-        level=pick("level", defaults.DWPT_LEVEL),
-        filter_name=pick("filter_name", defaults.DEFAULT_FILTER),
-        speech_rank=pick("speech_rank", defaults.SPEECH_RANK),
-        noise_rank=pick("noise_rank", defaults.NOISE_RANK),
-        iters_train=pick("iters_train", defaults.TRAIN_ITERS),
-        iters_encode=pick("iters_encode", defaults.ENCODE_ITERS),
-        epsilon=pick("epsilon", defaults.EPSILON),
-        seed=pick("seed", seed_fallback),
-        normalize=pick("normalize", True),
-        gain_on_magnitude=pick("gain_on_magnitude", "direct"),
-    )
+    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in _CONFIG_KEYS:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return CliConfig(**values)
 
 
 def _expand_audio(paths) -> list:
@@ -162,17 +146,13 @@ def _expand_audio(paths) -> list:
     return out
 
 
-def _read_signals(paths) -> list:
-    return [read_wav(p)[0] for p in paths]
-
-
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    clean = _read_signals(_expand_audio(args.clean))
-    noise = _read_signals(_expand_audio(args.noise))
     spec = FrameSpec(cfg.frame_size, cfg.frame_shift)
     speech_params = NmfParams(cfg.speech_rank, cfg.iters_train, cfg.epsilon, cfg.seed)
     noise_params = NmfParams(cfg.noise_rank, cfg.iters_train, cfg.epsilon, cfg.seed)
+    clean = [read_wav(p)[0] for p in _expand_audio(args.clean)]
+    noise = [read_wav(p)[0] for p in _expand_audio(args.noise)]
     if cfg.method == "stft-nmf":
         model = train_stft_model(
             clean, noise, spec, speech_params=speech_params, noise_params=noise_params
@@ -187,51 +167,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-# The model and config every `_enhance_one` call uses, set once per process
-# by `_set_enhance_state`: in each pool worker through the pool initializer,
-# so that a task carries only its two paths.
-_enhance_state = None
+# The function every `_enhance_one` call applies to a noisy signal, set once
+# per process by `_set_enhancer`: in each pool worker through the pool
+# initializer, so that a task carries only its two paths.
+_enhancer = None
 
 
-def _set_enhance_state(model, cfg):
-    global _enhance_state
-    _enhance_state = (model, cfg)
+def _set_enhancer(enhance):
+    global _enhancer
+    _enhancer = enhance
 
 
 def _enhance_one(task):
     in_path, out_path = task
-    model, cfg = _enhance_state
-    noisy, _ = read_wav(in_path)
-    # encode takes the rank from the model's dictionaries, not from params
-    params = NmfParams(rank=1, max_iters=cfg.iters_encode, epsilon=cfg.epsilon, seed=cfg.seed)
-    if isinstance(model, StftBasisModel):
-        out = enhance_stft(noisy, model, params, gain_on_magnitude=cfg.gain_on_magnitude)
-    else:
-        out = enhance_dwpt(noisy, model, get_filters(model.filter_name), params,
-                           normalize=cfg.normalize)
-    write_wav(out_path, out)
+    write_wav(out_path, _enhancer(read_wav(in_path)[0]))
     return str(out_path)
 
 
 def cmd_enhance(args) -> int:
     cfg = resolve_config(args)
+    # encode takes the rank from the model's dictionaries, not from params
+    params = NmfParams(rank=1, max_iters=cfg.iters_encode, epsilon=cfg.epsilon, seed=cfg.seed)
     model = load_model(args.model)
+    if isinstance(model, StftBasisModel):
+        enhance = partial(enhance_stft, model=model, params=params,
+                          gain_on_magnitude=cfg.gain_on_magnitude)
+    else:
+        enhance = partial(enhance_dwpt, model=model, filters=get_filters(model.filter_name),
+                          params=params, normalize=cfg.normalize)
     inputs = _expand_audio(args.in_paths)
     out = Path(args.out)
     if len(inputs) > 1:
         out.mkdir(parents=True, exist_ok=True)
-        tasks = [(p, out / p.name) for p in inputs]
-    else:
-        if out.is_dir():
-            tasks = [(inputs[0], out / inputs[0].name)]
-        else:
-            tasks = [(inputs[0], out)]
+    tasks = [(p, out / p.name) for p in inputs] if out.is_dir() else [(inputs[0], out)]
     parallel = args.jobs > 1 and len(tasks) > 1
     if parallel:
-        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_enhance_state,
-                                   initargs=(model, cfg))
+        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_enhancer,
+                                   initargs=(enhance,))
     else:
-        _set_enhance_state(model, cfg)
+        _set_enhancer(enhance)
         pool = nullcontext()
     failed = 0
     with pool:
@@ -251,15 +225,10 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = defaults.DEFAULT_SEED
+    spec = MixSpec(args.snr, _default_seed() if args.seed is None else args.seed)
     clean, _ = read_wav(args.clean)
     noise, _ = read_wav(args.noise)
-    mixed = mix_at_snr(clean, noise, MixSpec(args.snr, seed))
-    write_wav(args.out, mixed)
+    write_wav(args.out, mix_at_snr(clean, noise, spec))
     print(f"wrote {args.out}")
     return 0
 
@@ -273,11 +242,14 @@ def cmd_eval(args) -> int:
         by_name = {p.name: p for p in refs}
         pairs = [(by_name[t.name], t) for t in tests if t.name in by_name]
         unmatched = [t for t in tests if t.name not in by_name]
-    rows = []
+    rows, failed = [], len(unmatched)
     for ref_path, test_path in pairs:
-        ref, _ = read_wav(ref_path)
-        test, _ = read_wav(test_path)
-        report = evaluate(ref, test)
+        try:
+            report = evaluate(read_wav(ref_path)[0], read_wav(test_path)[0])
+        except ValueError as e:
+            failed += 1
+            print(f"error: {test_path}: {e}", file=sys.stderr)
+            continue
         rows.append((str(test_path), report))
         print(f"file={test_path}")
         for key, val in report.as_dict().items():
@@ -292,8 +264,8 @@ def cmd_eval(args) -> int:
         print(f"wrote {args.csv}")
     for t in unmatched:
         print(f"error: {t}: no reference named {t.name}", file=sys.stderr)
-    if unmatched:
-        print(f"error: {len(unmatched)} of {len(tests)} inputs failed", file=sys.stderr)
+    if failed:
+        print(f"error: {failed} of {len(tests)} inputs failed", file=sys.stderr)
         return 1
     return 0
 
@@ -302,15 +274,13 @@ def cmd_roundtrip(args) -> int:
     signal, _ = read_wav(args.in_path)
     x = signal.samples
     if args.transform == "dwpt":
-        filters = get_filters(args.filter_name or defaults.DEFAULT_FILTER)
-        level = args.level if args.level is not None else defaults.DWPT_LEVEL
-        y = idwpt(dwpt(signal, level, filters), filters)
-        label = f"dwpt level={level} filter={filters.name}"
+        filters = get_filters(args.filter_name)
+        y = idwpt(dwpt(signal, args.level, filters), filters)
+        label = f"dwpt level={args.level} filter={filters.name}"
     else:
-        size = args.frame_size or defaults.STFT_FRAME_SIZE
-        shift = args.frame_shift or defaults.STFT_FRAME_SHIFT
-        y = istft(stft(signal, FrameSpec(size, shift)), len(x))
-        label = f"stft frame={size} shift={shift}"
+        spec = FrameSpec(args.frame_size, args.frame_shift)
+        y = istft(stft(signal, spec), len(x))
+        label = f"stft frame={spec.frame_size} shift={spec.frame_shift}"
     err = float(np.mean((x - y) ** 2))
     print(f"transform={label}")
     print(f"mse={err:.6e}")
@@ -393,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="analysis/synthesis round-trip error of a WAV")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--transform", choices=("dwpt", "stft"), required=True)
-    p.add_argument("--level", type=int, default=None,
-                   help=f"dwpt tree depth (default {defaults.DWPT_LEVEL})")
-    p.add_argument("--filter", dest="filter_name", choices=FILTER_NAMES, default=None,
-                   help=f"dwpt family (default {defaults.DEFAULT_FILTER})")
-    p.add_argument("--frame-size", dest="frame_size", type=int, default=None,
-                   help=f"stft frame (default {defaults.STFT_FRAME_SIZE})")
-    p.add_argument("--frame-shift", dest="frame_shift", type=int, default=None,
-                   help=f"stft hop (default {defaults.STFT_FRAME_SHIFT})")
+    p.add_argument("--level", type=int, default=defaults.DWPT_LEVEL,
+                   help="dwpt tree depth (default %(default)s)")
+    p.add_argument("--filter", dest="filter_name", choices=FILTER_NAMES,
+                   default=defaults.DEFAULT_FILTER, help="dwpt family (default %(default)s)")
+    p.add_argument("--frame-size", dest="frame_size", type=int,
+                   default=defaults.STFT_FRAME_SIZE, help="stft frame (default %(default)s)")
+    p.add_argument("--frame-shift", dest="frame_shift", type=int,
+                   default=defaults.STFT_FRAME_SHIFT, help="stft hop (default %(default)s)")
     p.set_defaults(func=cmd_roundtrip)
 
     return parser

@@ -92,10 +92,8 @@ class MetricReport:
 
 
 def evaluate(reference: Signal, test: Signal, seg_ms: float = SSNR_SEG_MS) -> MetricReport:
-    """All three metrics at once; signals are trimmed to the common length."""
-    n = min(len(reference.samples), len(test.samples))
-    ref = Signal(reference.samples[:n], reference.sample_rate)
-    tst = Signal(test.samples[:n], test.sample_rate)
+    """All three metrics at once; the signals must have the same length."""
     return MetricReport(
-        mse=mse(ref, tst), ssnr_db=ssnr(ref, tst, seg_ms=seg_ms), sdi=sdi(ref, tst)
+        mse=mse(reference, test), ssnr_db=ssnr(reference, test, seg_ms=seg_ms),
+        sdi=sdi(reference, test),
     )

@@ -30,6 +30,8 @@ class MixSpec:
     def __post_init__(self):
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:

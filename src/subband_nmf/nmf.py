@@ -13,6 +13,7 @@ anyway, and clamped at 0 because the expansion can cancel to a tiny
 negative value when the fit is exact.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,8 @@ class NmfParams:
             raise ValueError("max_iters must be at least 1")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -84,6 +87,27 @@ def _update_w(v, w, h, eps):
     hht = h @ h.T
     w = w * (num / np.maximum(w @ hht, eps))
     return np.maximum(w, eps), hht
+
+
+def _reject_overflow(fn):
+    """Raise one ValueError about the input level when fn overflows float64.
+
+    Inputs are finite on entry, so an overflow means the input is too loud
+    to square and factorize; numpy raises at the first one, scanning nothing.
+    """
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError:
+            raise ValueError(
+                "input level too high: float64 overflows while squaring its "
+                "features or factorizing them; scale the input down"
+            ) from None
+
+    return guarded
 
 
 def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:

@@ -24,7 +24,7 @@ from .defaults import (
     SPEECH_RANK,
 )
 from .framing import FrameSpec, Signal, _overlap_sum, check_nonneg_matrix, frame_signal
-from .nmf import NmfParams, encode, factorize, split_reconstruction
+from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
 
 __all__ = [
     "ComplexSpectrogram",
@@ -180,6 +180,7 @@ def common_rate(signals) -> int | None:
     return rates.pop() if rates else None
 
 
+@_reject_overflow
 def train_stft_model(
     clean,
     noise,
@@ -242,6 +243,7 @@ def separation_gain(
     return gain
 
 
+@_reject_overflow
 def enhance_stft(
     noisy: Signal,
     model: StftBasisModel,

@@ -23,7 +23,7 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import NmfParams, factorize
+from .nmf import NmfParams, _reject_overflow, factorize
 from .spectral import _check_dictionaries, _check_rate, common_rate, separation_gain
 from .wavelets import SubbandSet, WaveletFilters, dwpt, idwpt
 
@@ -79,6 +79,7 @@ class SubbandBasisModel:
         return 2**self.level
 
 
+@_reject_overflow
 def train_dwpt_model(
     clean,
     noise,
@@ -204,6 +205,7 @@ def enhance_subbands(
     return SubbandSet(level=s.level, subbands=out, original_length=s.original_length)
 
 
+@_reject_overflow
 def enhance_dwpt(
     noisy: Signal,
     model: SubbandBasisModel,

@@ -226,6 +226,27 @@ def test_eval_matches_single_file_directories_by_name(corpus, capsys):
     assert f"error: {tests / 'b.wav'}: no reference named b.wav" in captured.err
 
 
+def test_eval_reports_length_mismatch(corpus, capsys):
+    refs, tests = corpus / "refs", corpus / "tests"
+    refs.mkdir()
+    tests.mkdir()
+    clean, _ = read_wav(corpus / "clean.wav")
+    for name in ("a.wav", "b.wav"):
+        write_wav(refs / name, clean)
+    write_wav(tests / "a.wav", Signal(clean.samples[:2000], RATE))
+    write_wav(tests / "b.wav", clean)
+    assert run(["eval", "--reference", refs, "--test", tests]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("file=")] == [
+        f"file={tests / 'b.wav'}"]
+    assert captured.err.splitlines() == [
+        f"error: {tests / 'a.wav'}: length mismatch: 8000 vs 2000",
+        "error: 1 of 2 inputs failed",
+    ]
+    assert run(["eval", "--reference", refs / "a.wav", "--test", tests / "a.wav"]) == 1
+    assert "length mismatch" in capsys.readouterr().err
+
+
 def test_roundtrip_command(corpus, capsys):
     assert run(["roundtrip", "--in", corpus / "clean.wav", "--transform", "dwpt",
                 "--level", "3", "--filter", "db8"]) == 0
@@ -242,6 +263,42 @@ def test_roundtrip_command(corpus, capsys):
     assert "transform=stft frame=256 shift=16" in out
     mse_line = [l for l in out.splitlines() if l.startswith("mse=")][0]
     assert float(mse_line.split("=")[1]) < 1e-20
+
+
+def test_roundtrip_rejects_zero_frame(corpus, capsys):
+    # 0 is a value, not a request for the default
+    assert run(["roundtrip", "--in", corpus / "clean.wav", "--transform", "stft",
+                "--frame-size", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: frame_size must be positive\n"
+
+
+def test_numeric_settings_checked_before_reading_audio(tmp_path, capsys):
+    missing = tmp_path / "missing.wav"
+    assert run(["train", "--clean", missing, "--noise", missing, "--out", tmp_path / "m.snm",
+                "--speech-rank", "0"]) == 1
+    assert capsys.readouterr().err == "error: rank must be at least 1\n"
+    assert run(["train", "--clean", missing, "--noise", missing, "--out", tmp_path / "m.snm",
+                "--frame-size", "8", "--frame-shift", "9"]) == 1
+    assert capsys.readouterr().err == "error: frame_shift must be in [1, frame_size]\n"
+    assert run(["enhance", "--model", tmp_path / "missing.snm", "--in", missing,
+                "--out", tmp_path / "o.wav", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+
+
+def test_config_file_values_are_checked(corpus, tmp_path, capsys):
+    base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
+            "--out", tmp_path / "m.snm", "--config", tmp_path / "run.cfg"]
+    for line, message in [("method = nmf", "method must be one of"),
+                          ("gain_on_magnitude = cube", "gain_on_magnitude must be"),
+                          ("noise_rank = 0", "rank must be at least 1"),
+                          ("iters_train = 0", "max_iters must be at least 1"),
+                          ("epsilon = 0", "epsilon must be positive")]:
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        assert run(base) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.snm").exists()
 
 
 def test_config_file_and_flag_precedence(corpus, tmp_path):

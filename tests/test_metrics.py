@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subband_nmf import Signal, evaluate, mse, sdi, ssnr
+from subband_nmf import Signal, evaluate, mse, sdi, ssnr, synth_tone
 
 from conftest import make_signal
 
@@ -104,11 +104,12 @@ def test_sdi_zero_reference_rejected():
         sdi(Signal(np.zeros(10), 8000), make_signal(10))
 
 
-def test_evaluate_trims_and_reports():
-    ref = make_signal(3 * SEG, seed=10)
-    test = Signal(np.concatenate([ref.samples, np.ones(40)]), 8000)
-    rep = evaluate(ref, test)
-    assert rep.mse == 0.0
-    assert rep.ssnr_db == 35.0
-    assert rep.sdi == 0.0
+def test_evaluate_rejects_length_mismatch():
+    # a truncated output must not score as a perfect match of its reference
+    ref = synth_tone(500.0, 1.0, 8000)
+    short = Signal(ref.samples[:2000], 8000)
+    with pytest.raises(ValueError, match="length mismatch: 8000 vs 2000"):
+        evaluate(ref, short)
+    rep = evaluate(ref, ref)
+    assert (rep.mse, rep.ssnr_db, rep.sdi) == (0.0, 35.0, 0.0)
     assert set(rep.as_dict()) == {"mse", "ssnr_db", "sdi"}

@@ -23,6 +23,8 @@ def test_mix_spec_validation():
     MixSpec(0.0)
     with pytest.raises(ValueError):
         MixSpec(np.nan)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        MixSpec(0.0, seed=-1)
 
 
 def test_equal_power_zero_db_alpha_one():

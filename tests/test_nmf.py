@@ -15,6 +15,8 @@ def test_params_validation():
         NmfParams(rank=2, max_iters=0)
     with pytest.raises(ValueError):
         NmfParams(rank=2, epsilon=0.0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        NmfParams(rank=2, seed=-1)
 
 
 def test_factorize_shapes_and_positivity():

@@ -1,5 +1,7 @@
 """Per-band gain, normalization, and the subband enhancement pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -263,4 +265,37 @@ def test_extreme_amplitudes_enhance_or_raise_value_error():
                 except ValueError:
                     continue
             assert len(out) == len(noisy)
+            assert np.all(np.isfinite(out.samples))
+
+
+def test_overflowing_input_raises_one_value_error():
+    # squaring the features (or the NMF products formed from them)
+    # overflows float64: one ValueError about the input level, no warning
+    x = make_signal(1000).samples
+    x = x / np.max(np.abs(x))
+    tone = make_tone(500.0, 1.5).samples / 0.5
+    train_kw = dict(speech_params=small_params(2, 10), noise_params=small_params(3, 10))
+    dwpt_model, frame = tiny_model(), FrameSpec(32, 8)
+    stft_model = train_stft_model(
+        [make_tone(500.0, 1.5)], [synth_white_noise(1.5, 8000, 0, 0.5)], frame, **train_kw
+    )
+    for exponent in (153, 154, 300):
+        noisy = Signal(x * 10.0**exponent, 8000)
+        clean = Signal(tone * 10.0**exponent, 8000)
+        calls = {
+            "enhance_dwpt": lambda: enhance_dwpt(noisy, dwpt_model, FILT, small_params(1, 10)),
+            "enhance_stft": lambda: enhance_stft(noisy, stft_model, small_params(1, 10)),
+            "train_dwpt": lambda: train_dwpt_model([clean], [noisy], 2, FILT, frame, **train_kw),
+            "train_stft": lambda: train_stft_model([clean], [noisy], frame, **train_kw),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = call()
+                except ValueError as e:
+                    assert str(e).startswith("input level too high"), (exponent, name)
+                    continue
+            # enhancing at 1e153 overflows nothing on this input
+            assert exponent == 153 and name.startswith("enhance"), (exponent, name)
             assert np.all(np.isfinite(out.samples))
