@@ -16,19 +16,17 @@ import argparse
 import statistics
 import time
 
-import numpy as np
-
 from subband_nmf import (
     FrameSpec,
     MixSpec,
     NmfParams,
-    Signal,
     enhance_dwpt,
     enhance_stft,
     evaluate,
     get_filters,
     mix_at_snr,
     synth_pink_noise,
+    synth_sweep,
     synth_white_noise,
     train_dwpt_model,
     train_stft_model,
@@ -37,24 +35,8 @@ from subband_nmf import (
 RATE = 8000
 
 
-def swept_tone(duration_s, seed, rate=RATE, amp=0.5):
-    """Triangle FM sweep covering most of the band below Nyquist.
-
-    The seed jitters the sweep period and start phase so every
-    utterance differs while staying in the same signal class.
-    """
-    rng = np.random.default_rng(seed)
-    period = 1.6 * rng.uniform(0.9, 1.1)
-    n = int(duration_s * rate)
-    t = np.arange(n) / rate + rng.uniform(0, period)
-    tri = 2.0 * np.abs(t / period - np.floor(t / period + 0.5))
-    freq = 150.0 + (3850.0 - 150.0) * tri
-    phase = 2.0 * np.pi * np.cumsum(freq) / rate
-    return Signal(amp * np.sin(phase), rate)
-
-
 def train_models(args):
-    clean = [swept_tone(args.train_seconds, 1)]
+    clean = [synth_sweep(args.train_seconds, RATE, 1)]
     noise = [
         synth_white_noise(args.train_seconds / 2, RATE, 1, 0.5),
         synth_pink_noise(args.train_seconds / 2, RATE, 2, 0.5),
@@ -80,7 +62,7 @@ def run_condition(stft_model, dwpt_model, snr_db, seeds, enc):
     filters = get_filters(dwpt_model.filter_name)
     rows = {"noisy": [], "stft": [], "dwpt": []}
     for seed in seeds:
-        clean = swept_tone(2.0, 50 + seed)
+        clean = synth_sweep(2.0, RATE, 50 + seed)
         if seed % 2 == 0:
             noise = synth_white_noise(3.0, RATE, 100 + seed, 0.5)
         else:

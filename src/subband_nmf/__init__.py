@@ -2,7 +2,9 @@
 
 from .framing import FrameSpec, Signal, frame_count, frame_signal, overlap_add
 from .metrics import MetricReport, evaluate, mse, sdi, ssnr
-from .mixing import MixSpec, mix_at_snr, synth_pink_noise, synth_tone, synth_white_noise
+from .mixing import (
+    MixSpec, mix_at_snr, synth_pink_noise, synth_sweep, synth_tone, synth_white_noise
+)
 from .model_io import load_model, save_model
 from .nmf import NmfParams, NmfResult, encode, factorize, split_reconstruction
 from .spectral import (
@@ -68,6 +70,7 @@ __all__ = [
     "stft",
     "subband_gain",
     "synth_pink_noise",
+    "synth_sweep",
     "synth_tone",
     "synth_white_noise",
     "train_dwpt_model",

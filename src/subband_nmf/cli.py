@@ -43,8 +43,8 @@ class CliConfig:
 
     frame_size and frame_shift default to the method's geometry, and seed
     to $SUBBAND_NMF_SEED, then DEFAULT_SEED.  Numeric values are checked by
-    the FrameSpec and NmfParams built from them, so only the two choices
-    a config file can set past argparse are checked here.
+    the FrameSpec and NmfParams built from them, so only `method`, which a
+    config file can set past argparse's choices, is checked here.
     """
 
     method: str = "dwpt-nmf"
@@ -56,16 +56,12 @@ class CliConfig:
     noise_rank: int = defaults.NOISE_RANK
     iters_train: int = defaults.TRAIN_ITERS
     iters_encode: int = defaults.ENCODE_ITERS
-    epsilon: float = defaults.EPSILON
     seed: int | None = None
     normalize: bool = True
-    gain_on_magnitude: str = "direct"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got '{self.method}'")
-        if self.gain_on_magnitude not in ("direct", "sqrt"):
-            raise ValueError("gain_on_magnitude must be 'direct' or 'sqrt'")
         if self.method == "stft-nmf":
             size, shift = defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT
         else:
@@ -149,8 +145,8 @@ def _expand_audio(paths) -> list:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     spec = FrameSpec(cfg.frame_size, cfg.frame_shift)
-    speech_params = NmfParams(cfg.speech_rank, cfg.iters_train, cfg.epsilon, cfg.seed)
-    noise_params = NmfParams(cfg.noise_rank, cfg.iters_train, cfg.epsilon, cfg.seed)
+    speech_params = NmfParams(cfg.speech_rank, cfg.iters_train, cfg.seed)
+    noise_params = NmfParams(cfg.noise_rank, cfg.iters_train, cfg.seed)
     clean = [read_wav(p)[0] for p in _expand_audio(args.clean)]
     noise = [read_wav(p)[0] for p in _expand_audio(args.noise)]
     if cfg.method == "stft-nmf":
@@ -185,13 +181,14 @@ def _enhance_one(task):
 
 
 def cmd_enhance(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = resolve_config(args)
     # encode takes the rank from the model's dictionaries, not from params
-    params = NmfParams(rank=1, max_iters=cfg.iters_encode, epsilon=cfg.epsilon, seed=cfg.seed)
+    params = NmfParams(rank=1, max_iters=cfg.iters_encode, seed=cfg.seed)
     model = load_model(args.model)
     if isinstance(model, StftBasisModel):
-        enhance = partial(enhance_stft, model=model, params=params,
-                          gain_on_magnitude=cfg.gain_on_magnitude)
+        enhance = partial(enhance_stft, model=model, params=params)
     else:
         enhance = partial(enhance_dwpt, model=model, filters=get_filters(model.filter_name),
                           params=params, normalize=cfg.normalize)
@@ -291,8 +288,6 @@ def _add_common(p: argparse.ArgumentParser, training: bool):
     p.add_argument("--config", help="key = value config file; flags take precedence")
     p.add_argument("--seed", type=int, default=None,
                    help=f"RNG seed (default {defaults.DEFAULT_SEED}, or ${defaults.SEED_ENV_VAR})")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help=f"numeric floor (default {defaults.EPSILON})")
     if training:
         p.add_argument("--method", choices=METHODS, default=None,
                        help="enhancement method (default dwpt-nmf)")
@@ -317,9 +312,6 @@ def _add_common(p: argparse.ArgumentParser, training: bool):
                        help=f"encoding update sweeps (default {defaults.ENCODE_ITERS})")
         p.add_argument("--no-normalize", dest="normalize", action="store_false",
                        default=None, help="skip subband power normalization")
-        p.add_argument("--gain-on-magnitude", dest="gain_on_magnitude",
-                       choices=("direct", "sqrt"), default=None,
-                       help="stft gain application (default direct)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,24 +33,19 @@ def mse(reference: Signal, test: Signal) -> float:
     return float(np.mean(d * d))
 
 
-def ssnr(
-    reference: Signal,
-    test: Signal,
-    seg_ms: float = SSNR_SEG_MS,
-    clamp_db: tuple = SSNR_CLAMP_DB,
-) -> float:
+def ssnr(reference: Signal, test: Signal) -> float:
     """Segmental SNR in dB.
 
-    The signals are cut into consecutive full segments of seg_ms;
+    The signals are cut into consecutive full segments of SSNR_SEG_MS;
     segments whose reference energy is at silence level are skipped,
     the rest contribute 10*log10(sum(ref^2)/sum((ref-test)^2)) clamped
-    into clamp_db, and the mean over segments is returned.
+    into SSNR_CLAMP_DB, and the mean over segments is returned.
     """
     ref, tst = _paired(reference, test)
-    seg_len = int(round(reference.sample_rate * seg_ms / 1000.0))
+    seg_len = int(round(reference.sample_rate * SSNR_SEG_MS / 1000.0))
     if seg_len < 1:
         raise ValueError("segment length must be at least one sample")
-    lo, hi = clamp_db
+    lo, hi = SSNR_CLAMP_DB
     vals = []
     for start in range(0, len(ref) - seg_len + 1, seg_len):
         r = ref[start : start + seg_len]
@@ -91,9 +86,8 @@ class MetricReport:
         return {"mse": self.mse, "ssnr_db": self.ssnr_db, "sdi": self.sdi}
 
 
-def evaluate(reference: Signal, test: Signal, seg_ms: float = SSNR_SEG_MS) -> MetricReport:
+def evaluate(reference: Signal, test: Signal) -> MetricReport:
     """All three metrics at once; the signals must have the same length."""
     return MetricReport(
-        mse=mse(reference, test), ssnr_db=ssnr(reference, test, seg_ms=seg_ms),
-        sdi=sdi(reference, test),
+        mse=mse(reference, test), ssnr_db=ssnr(reference, test), sdi=sdi(reference, test)
     )

@@ -15,6 +15,7 @@ __all__ = [
     "MixSpec",
     "mix_at_snr",
     "synth_pink_noise",
+    "synth_sweep",
     "synth_tone",
     "synth_white_noise",
 ]
@@ -70,6 +71,23 @@ def synth_tone(
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * t), sample_rate)
+
+
+def synth_sweep(
+    duration_s: float, sample_rate: int, seed: int = 0, amplitude: float = 0.5
+) -> Signal:
+    """Triangle FM sweep over 150-3850 Hz, the desk experiments' speech class.
+
+    The seed jitters the 1.6 s sweep period by up to 10% and the start phase.
+    """
+    rng = np.random.default_rng(seed)
+    period = 1.6 * rng.uniform(0.9, 1.1)
+    n = int(duration_s * sample_rate)
+    t = np.arange(n) / sample_rate + rng.uniform(0, period)
+    tri = 2.0 * np.abs(t / period - np.floor(t / period + 0.5))
+    freq = 150.0 + (3850.0 - 150.0) * tri
+    phase = 2.0 * np.pi * np.cumsum(freq) / sample_rate
+    return Signal(amplitude * np.sin(phase), sample_rate)
 
 
 def synth_white_noise(

@@ -89,6 +89,27 @@ def _require(fields, key, path, convert=str):
         raise ValueError(f"{path}: bad value for '{key}': {fields[key]!r}")
 
 
+def _matrix_names(kind, fields, count, path) -> list:
+    """The matrix names a model of `kind` declares; `count` is the file's declarations."""
+    if kind == _KIND_STFT:
+        return ["w_speech", "w_noise"]
+    if kind != _KIND_DWPT:
+        raise ValueError(f"{path}: unknown model kind '{kind}'")
+    level = _require(fields, "level", path, int)
+    if level < 1:
+        raise ValueError(f"{path}: level must be >= 1, got {level}")
+    n_bands = (count - 1) // 2  # two matrices per band, then sigma_clean
+    # a level at or past count needs more bands than declared; testing that
+    # first keeps a corrupt, huge level from forming 2**level
+    expected = 2**level if level < count else "more"
+    if expected != n_bands:
+        raise ValueError(
+            f"{path}: expected {expected} subband blocks for level {level}, found {n_bands}"
+        )
+    names = [f"{c}_{b}" for b in range(n_bands) for c in ("w_speech", "w_noise")]
+    return names + ["sigma_clean"]
+
+
 def load_model(path):
     """Read a model file back into its in-memory form, validating throughout."""
     with open(path, "rb") as f:
@@ -113,6 +134,13 @@ def load_model(path):
         _require(fields, "frame_size", path, int),
         _require(fields, "frame_shift", path, int),
     )
+    declared = [name for name, _, _ in matrices]
+    required = _matrix_names(kind, fields, len(matrices), path)
+    if sorted(declared) != sorted(required):
+        raise ValueError(
+            f"{path}: a {kind} model declares the matrices {', '.join(required)}; "
+            f"this file declares {', '.join(declared)}"
+        )
 
     payload = data[sep + 2 :]
     expected = sum(8 * r * c for _, r, c in matrices)
@@ -133,9 +161,6 @@ def load_model(path):
         offset += 8 * count
 
     if kind == _KIND_STFT:
-        for name in ("w_speech", "w_noise"):
-            if name not in arrays:
-                raise ValueError(f"{path}: missing matrix '{name}'")
         return StftBasisModel(
             w_speech=arrays["w_speech"],
             w_noise=arrays["w_noise"],
@@ -144,38 +169,25 @@ def load_model(path):
             feature_kind=_require(fields, "feature_kind", path),
             sample_rate=rate,
         )
-    if kind == _KIND_DWPT:
-        level = _require(fields, "level", path, int)
-        n_bands = 2**level
-        band_count = sum(1 for name in arrays if name.startswith("w_speech_"))
-        if band_count != n_bands or any(
-            f"w_noise_{b}" not in arrays for b in range(n_bands)
-        ):
-            raise ValueError(
-                f"{path}: expected {n_bands} subband blocks for level {level}, "
-                f"found {band_count}"
-            )
-        if "sigma_clean" not in arrays:
-            raise ValueError(f"{path}: missing matrix 'sigma_clean'")
-        sigma = arrays["sigma_clean"]
-        if sigma.shape != (1, n_bands):
-            raise ValueError(
-                f"{path}: sigma_clean must be 1 x {n_bands}, got "
-                f"{sigma.shape[0]} x {sigma.shape[1]}"
-            )
-        bands = [
-            BandModel(
-                w_speech=arrays[f"w_speech_{b}"],
-                w_noise=arrays[f"w_noise_{b}"],
-                sigma_clean=float(sigma[0, b]),
-            )
-            for b in range(n_bands)
-        ]
-        return SubbandBasisModel(
-            level=level,
-            filter_name=_require(fields, "filter_name", path),
-            frame_spec=spec,
-            per_band=bands,
-            sample_rate=rate,
+    n_bands = len(matrices) // 2  # the names check above: two per band, then sigma_clean
+    sigma = arrays["sigma_clean"]
+    if sigma.shape != (1, n_bands):
+        raise ValueError(
+            f"{path}: sigma_clean must be 1 x {n_bands}, got "
+            f"{sigma.shape[0]} x {sigma.shape[1]}"
         )
-    raise ValueError(f"{path}: unknown model kind '{kind}'")
+    bands = [
+        BandModel(
+            w_speech=arrays[f"w_speech_{b}"],
+            w_noise=arrays[f"w_noise_{b}"],
+            sigma_clean=float(sigma[0, b]),
+        )
+        for b in range(n_bands)
+    ]
+    return SubbandBasisModel(
+        level=_require(fields, "level", path, int),
+        filter_name=_require(fields, "filter_name", path),
+        frame_spec=spec,
+        per_band=bands,
+        sample_rate=rate,
+    )

@@ -35,14 +35,13 @@ class NmfParams:
     """Knobs for one NMF run.
 
     rank is the inner dimension r; max_iters the fixed sweep count
-    (no early exit, so runs are reproducible); epsilon floors every
-    denominator and every updated entry, keeping factors strictly
-    positive; seed drives the uniform initialization.
+    (no early exit, so runs are reproducible); seed drives the uniform
+    initialization.  Every denominator and every updated entry is floored
+    at defaults.EPSILON, keeping factors strictly positive.
     """
 
     rank: int
     max_iters: int = TRAIN_ITERS
-    epsilon: float = EPSILON
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class NmfParams:
             raise ValueError("rank must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -72,21 +69,21 @@ def _objective(v_sq, wt_v, gram, h, hht):
     return max(d, 0.0)
 
 
-def _update_h(wt_v, gram, h, eps):
+def _update_h(wt_v, gram, h):
     # H <- H .* (W^T V) ./ (W^T W H) from the products W^T V and W^T W,
-    # denominator floored, result clamped up to eps so no activation
+    # denominator floored, result clamped up to EPSILON so no activation
     # collapses to an absorbing zero.
-    h = h * (wt_v / np.maximum(gram @ h, eps))
-    return np.maximum(h, eps)
+    h = h * (wt_v / np.maximum(gram @ h, EPSILON))
+    return np.maximum(h, EPSILON)
 
 
-def _update_w(v, w, h, eps):
+def _update_w(v, w, h):
     # W <- W .* (V H^T) ./ (W H H^T), same flooring policy.  Also returns
     # H H^T for the objective.
     num = v @ h.T
     hht = h @ h.T
-    w = w * (num / np.maximum(w @ hht, eps))
-    return np.maximum(w, eps), hht
+    w = w * (num / np.maximum(w @ hht, EPSILON))
+    return np.maximum(w, EPSILON), hht
 
 
 def _reject_overflow(fn):
@@ -113,7 +110,7 @@ def _reject_overflow(fn):
 def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     """Factor v ≈ W H with alternating multiplicative updates.
 
-    Initialization draws W then H from uniform(epsilon, 1) with the
+    Initialization draws W then H from uniform(EPSILON, 1) with the
     seeded generator.  Each iteration updates H first, then W, then
     appends the objective d = sum((v - WH)^2) to the trace; d is
     non-increasing up to roundoff.  d comes from the new W's W^T V and
@@ -123,16 +120,15 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     """
     v = check_nonneg_matrix(v, "v")
     m, n = v.shape
-    eps = params.epsilon
     rng = np.random.default_rng(params.seed)
-    w = rng.uniform(eps, 1.0, size=(m, params.rank))
-    h = rng.uniform(eps, 1.0, size=(params.rank, n))
+    w = rng.uniform(EPSILON, 1.0, size=(m, params.rank))
+    h = rng.uniform(EPSILON, 1.0, size=(params.rank, n))
     v_sq = float(np.sum(v * v))
     wt_v, gram = w.T @ v, w.T @ w
     trace = []
     for _ in range(params.max_iters):
-        h = _update_h(wt_v, gram, h, eps)
-        w, hht = _update_w(v, w, h, eps)
+        h = _update_h(wt_v, gram, h)
+        w, hht = _update_w(v, w, h)
         wt_v, gram = w.T @ v, w.T @ w
         trace.append(_objective(v_sq, wt_v, gram, h, hht))
     return NmfResult(w=w, h=h, objective_trace=trace)
@@ -158,14 +154,13 @@ def encode(
         raise ValueError(
             f"row mismatch: v has {v.shape[0]} rows, w_fixed has {w_fixed.shape[0]}"
         )
-    eps = params.epsilon
     rng = np.random.default_rng(params.seed)
-    h = rng.uniform(eps, 1.0, size=(w_fixed.shape[1], v.shape[1]))
+    h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], v.shape[1]))
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     v_sq = float(np.sum(v * v)) if objective_trace is not None else 0.0
     for _ in range(params.max_iters):
-        h = _update_h(wt_v, gram, h, eps)
+        h = _update_h(wt_v, gram, h)
         if objective_trace is not None:
             objective_trace.append(_objective(v_sq, wt_v, gram, h, h @ h.T))
     return h

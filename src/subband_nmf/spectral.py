@@ -211,11 +211,9 @@ def train_stft_model(
     )
 
 
-def wiener_gain(
-    speech_part: np.ndarray, noise_part: np.ndarray, epsilon: float = EPSILON
-) -> np.ndarray:
+def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
     """Ratio gain speech/(speech+noise), floored denominator, clipped to [0,1]."""
-    gain = speech_part / np.maximum(speech_part + noise_part, epsilon)
+    gain = speech_part / np.maximum(speech_part + noise_part, EPSILON)
     return np.clip(gain, 0.0, 1.0)
 
 
@@ -234,7 +232,7 @@ def separation_gain(
         params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
     h = encode(v, w_stack, params)
     speech_part, noise_part = split_reconstruction(w_s, w_n, h)
-    gain = wiener_gain(speech_part, noise_part, params.epsilon)
+    gain = wiener_gain(speech_part, noise_part)
     if not np.all(np.isfinite(gain)):
         raise ValueError(
             "gain values must be finite: encoding the feature matrix overflowed "
@@ -245,24 +243,15 @@ def separation_gain(
 
 @_reject_overflow
 def enhance_stft(
-    noisy: Signal,
-    model: StftBasisModel,
-    params: NmfParams | None = None,
-    gain_on_magnitude: str = "direct",
+    noisy: Signal, model: StftBasisModel, params: NmfParams | None = None
 ) -> Signal:
     """Suppress noise in a signal using a trained spectral model.
 
     The `separation_gain` of the noisy feature matrix multiplies the
-    magnitudes (optionally its square root does, via
-    gain_on_magnitude="sqrt") while the phase rides along unchanged.
+    magnitudes directly while the phase rides along unchanged.
     """
-    if gain_on_magnitude not in ("direct", "sqrt"):
-        raise ValueError("gain_on_magnitude must be 'direct' or 'sqrt'")
     _check_rate(model, noisy)
     spec = stft(noisy, model.frame_spec, model.window_name)
     v = _features(spec.values, model.feature_kind)
-    gain = separation_gain(v, model.w_speech, model.w_noise, params)
-    if gain_on_magnitude == "sqrt":
-        gain = np.sqrt(gain)
-    spec.values *= gain
+    spec.values *= separation_gain(v, model.w_speech, model.w_noise, params)
     return Signal(istft(spec, len(noisy.samples)), noisy.sample_rate)

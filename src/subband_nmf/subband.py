@@ -188,7 +188,6 @@ def enhance_subbands(
             f"subbands too short: {s.band_length} samples each, the model's "
             f"frame size is {model.frame_spec.frame_size}"
         )
-    eps = params.epsilon if params is not None else EPSILON
     out = []
     for band, bm in zip(s.subbands, model.per_band):
         if force_unit_gain:
@@ -200,7 +199,7 @@ def enhance_subbands(
             if bm.sigma_clean == 0.0:
                 shat = np.zeros_like(shat)
             else:
-                shat = shat * (bm.sigma_clean / max(rms(shat), eps))
+                shat = shat * (bm.sigma_clean / max(rms(shat), EPSILON))
         out.append(shat)
     return SubbandSet(level=s.level, subbands=out, original_length=s.original_length)
 

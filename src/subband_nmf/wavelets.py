@@ -47,21 +47,19 @@ FILTER_NAMES = tuple(_SCALING_TAPS)
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Two-channel analysis/synthesis tap quadruple."""
+    """Two-channel orthonormal tap pair.
+
+    Synthesis uses the analysis taps: with circular extension the bank is
+    exact only when synthesis is the transpose of analysis.
+    """
 
     name: str
     analysis_low: np.ndarray
     analysis_high: np.ndarray
-    synthesis_low: np.ndarray
-    synthesis_high: np.ndarray
 
     def __post_init__(self):
         taps = len(self.analysis_low)
-        same = all(
-            len(f) == taps
-            for f in (self.analysis_high, self.synthesis_low, self.synthesis_high)
-        )
-        if not same or taps % 2 != 0 or taps < 2:
+        if len(self.analysis_high) != taps or taps % 2 != 0 or taps < 2:
             raise ValueError("filters must share an even tap count")
 
     @property
@@ -76,14 +74,7 @@ def get_filters(name: str) -> WaveletFilters:
     low = np.array(_SCALING_TAPS[name], dtype=np.float64)
     # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
     high = ((-1.0) ** np.arange(len(low))) * low[::-1]
-    # Orthonormal bank: synthesis is the transpose of analysis, same taps.
-    return WaveletFilters(
-        name=name,
-        analysis_low=low,
-        analysis_high=high,
-        synthesis_low=low.copy(),
-        synthesis_high=high.copy(),
-    )
+    return WaveletFilters(name=name, analysis_low=low, analysis_high=high)
 
 
 @dataclass
@@ -145,8 +136,8 @@ def synthesis_merge(
     up_low[::2] = low
     up_high = np.zeros(n)
     up_high[::2] = high
-    y = np.convolve(up_low, filters.synthesis_low) + np.convolve(
-        up_high, filters.synthesis_high
+    y = np.convolve(up_low, filters.analysis_low) + np.convolve(
+        up_high, filters.analysis_high
     )
     out = y[:n].copy()
     tail = y[n:]

@@ -28,6 +28,7 @@ from subband_nmf import (
     read_wav,
     ssnr,
     synth_pink_noise,
+    synth_sweep,
     synth_white_noise,
     train_dwpt_model,
     train_stft_model,
@@ -35,6 +36,7 @@ from subband_nmf import (
     write_wav,
 )
 from subband_nmf.cli import main as cli_main
+from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count, frame_signal, overlap_add, rms
 
 from conftest import make_signal, planted_instance
@@ -148,22 +150,9 @@ def test_c04_gain_contracts():
 
 # -- shared desk-scale fixtures ------------------------------------------------
 
-def _siren(duration_s, seed, rate=RATE, amp=0.5):
-    # triangle frequency sweep spanning nearly the whole band; the seed
-    # jitters the sweep period and start phase
-    rng = np.random.default_rng(seed)
-    period = 1.6 * rng.uniform(0.9, 1.1)
-    n = int(duration_s * rate)
-    t = np.arange(n) / rate + rng.uniform(0, period)
-    tri = 2.0 * np.abs(t / period - np.floor(t / period + 0.5))
-    freq = 150.0 + (3850.0 - 150.0) * tri
-    phase = 2.0 * np.pi * np.cumsum(freq) / rate
-    return Signal(amp * np.sin(phase), rate)
-
-
 def _small_dwpt_model():
     return train_dwpt_model(
-        [_siren(8.0, 1)],
+        [synth_sweep(8.0, RATE, 1)],
         [synth_white_noise(4.0, RATE, 1, 0.5), synth_pink_noise(4.0, RATE, 2, 0.5)],
         3,
         get_filters("db8"),
@@ -179,8 +168,8 @@ def test_c05_power_normalization():
     model = _small_dwpt_model()
     filters = get_filters("db8")
     params = NmfParams(rank=12, max_iters=50, seed=0)
-    noisy = mix_at_snr(_siren(2.0, 50), synth_white_noise(2.0, RATE, 100, 0.5),
-                       MixSpec(0.0, 0))
+    noisy = mix_at_snr(synth_sweep(2.0, RATE, 50),
+                       synth_white_noise(2.0, RATE, 100, 0.5), MixSpec(0.0, 0))
     s = dwpt(noisy, model.level, filters)
     raw = enhance_subbands(s, model, params, normalize=False)
     normed = enhance_subbands(s, model, params, normalize=True)
@@ -188,7 +177,7 @@ def test_c05_power_normalization():
     checked = 0
     for b, bm in enumerate(model.per_band):
         sigma_hat = rms(raw.subbands[b])
-        if sigma_hat <= params.epsilon or bm.sigma_clean == 0.0:
+        if sigma_hat <= EPSILON or bm.sigma_clean == 0.0:
             continue
         got = rms(normed.subbands[b])
         worst = max(worst, abs(got - bm.sigma_clean) / bm.sigma_clean)
@@ -213,7 +202,7 @@ def test_c06_identity_path():
 
 def test_c07_desk_scale_ordering():
     t0 = time.perf_counter()
-    clean_train = [_siren(30.0, 1)]
+    clean_train = [synth_sweep(30.0, RATE, 1)]
     noise_train = [synth_white_noise(15.0, RATE, 1, 0.5),
                    synth_pink_noise(15.0, RATE, 2, 0.5)]
     stft_model = train_stft_model(
@@ -234,7 +223,7 @@ def test_c07_desk_scale_ordering():
     for snr in (0.0, 5.0, 10.0):
         rows = []
         for seed in range(10):
-            clean = _siren(2.0, 50 + seed)
+            clean = synth_sweep(2.0, RATE, 50 + seed)
             noise = (synth_white_noise(2.0, RATE, 100 + seed, 0.5) if seed % 2 == 0
                      else synth_pink_noise(2.0, RATE, 100 + seed, 0.5))
             noisy = mix_at_snr(clean, noise, MixSpec(snr, seed))
@@ -270,7 +259,7 @@ def test_c08_mix_snr_accuracy():
 # -- 9: byte-identical reruns ---------------------------------------------------
 
 def test_c09_determinism(tmp_path):
-    write_wav(tmp_path / "clean.wav", _siren(2.0, 3))
+    write_wav(tmp_path / "clean.wav", synth_sweep(2.0, RATE, 3))
     write_wav(tmp_path / "noise.wav", synth_white_noise(2.0, RATE, 4, 0.5))
     noisy = mix_at_snr(read_wav(tmp_path / "clean.wav")[0],
                        read_wav(tmp_path / "noise.wav")[0], MixSpec(0.0, 5))

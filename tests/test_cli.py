@@ -287,14 +287,29 @@ def test_numeric_settings_checked_before_reading_audio(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enhance_rejects_jobs_below_one(corpus, tmp_path, capsys, jobs):
+    # checked before the model or any audio is read
+    assert run(["enhance", "--model", tmp_path / "missing.snm", "--in", tmp_path / "missing.wav",
+                "--out", tmp_path / "o.wav", "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    model = tmp_path / "m.snm"
+    assert run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+                "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS]) == 0
+    assert run(["enhance", "--model", model, "--in", corpus / "noisy.wav",
+                "--out", tmp_path / "o.wav", "--jobs", jobs]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o.wav").exists()
+
+
 def test_config_file_values_are_checked(corpus, tmp_path, capsys):
     base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
             "--out", tmp_path / "m.snm", "--config", tmp_path / "run.cfg"]
     for line, message in [("method = nmf", "method must be one of"),
-                          ("gain_on_magnitude = cube", "gain_on_magnitude must be"),
+                          ("gain_on_magnitude = direct", "unknown config key 'gain_on_magnitude'"),
                           ("noise_rank = 0", "rank must be at least 1"),
                           ("iters_train = 0", "max_iters must be at least 1"),
-                          ("epsilon = 0", "epsilon must be positive")]:
+                          ("epsilon = 1e-12", "unknown config key 'epsilon'")]:
         (tmp_path / "run.cfg").write_text(line + "\n")
         assert run(base) == 1
         assert message in capsys.readouterr().err

@@ -155,6 +155,25 @@ def test_wrong_band_count(tmp_path):
         load_model(p)
 
 
+def test_renamed_matrix_rejected(tmp_path):
+    # the band count still matches, but no w_speech_0 is declared
+    p = tmp_path / "m.snm"
+    save_model(trained_dwpt(), p)
+    p.write_bytes(p.read_bytes().replace(b"matrix w_speech_0 ", b"matrix w_speech_9 ", 1))
+    with pytest.raises(ValueError, match="this file declares w_speech_9, w_noise_0"):
+        load_model(p)
+
+
+def test_duplicated_matrix_rejected(tmp_path):
+    # a second w_noise_0 block would otherwise replace the first one
+    p = tmp_path / "m.snm"
+    save_model(trained_dwpt(), p)
+    header, payload = p.read_bytes().split(b"\n\n", 1)
+    p.write_bytes(header + b"\nmatrix w_noise_0 32 2\n\n" + payload + np.ones(64).tobytes())
+    with pytest.raises(ValueError, match="a dwpt model declares the matrices"):
+        load_model(p)
+
+
 def test_truncated_payload(tmp_path):
     model = trained_stft(tmp_path)
     p = tmp_path / "m.snm"
@@ -247,4 +266,13 @@ def test_level_zero_rejected(tmp_path):
         [blob, blob, np.ones((1, 1)).tobytes()],
     )
     with pytest.raises(ValueError, match="level must be >= 1"):
+        load_model(p)
+
+
+def test_huge_level_rejected_without_forming_its_power(tmp_path):
+    # 2**(10**12) would not finish; the declaration count rules the level out first
+    p = tmp_path / "m.snm"
+    save_model(trained_dwpt(), p)
+    p.write_bytes(p.read_bytes().replace(b"level: 2\n", b"level: 1000000000000\n", 1))
+    with pytest.raises(ValueError, match="expected more subband blocks for level 1000000000000"):
         load_model(p)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subband_nmf import NmfParams, encode, factorize, split_reconstruction
+from subband_nmf.defaults import EPSILON
 
 from conftest import planted_instance
 
@@ -13,8 +14,6 @@ def test_params_validation():
         NmfParams(rank=0)
     with pytest.raises(ValueError):
         NmfParams(rank=2, max_iters=0)
-    with pytest.raises(ValueError):
-        NmfParams(rank=2, epsilon=0.0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         NmfParams(rank=2, seed=-1)
 
@@ -49,7 +48,7 @@ def _residual_objective(v, w, h):
 
 def _residual_factorize(v, params):
     # the update loop with the objective taken from the m x n residual
-    eps = params.epsilon
+    eps = EPSILON
     rng = np.random.default_rng(params.seed)
     w = rng.uniform(eps, 1.0, size=(v.shape[0], params.rank))
     h = rng.uniform(eps, 1.0, size=(params.rank, v.shape[1]))
@@ -96,10 +95,9 @@ def test_encode_trace_matches_residual_and_stays_nonnegative():
     encode(v, w0, params, objective_trace=trace)
     assert min(trace) >= 0.0
     direct = []
-    h = np.random.default_rng(params.seed).uniform(params.epsilon, 1.0, (5, v.shape[1]))
+    h = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (5, v.shape[1]))
     for _ in range(params.max_iters):
-        h = np.maximum(h * ((w0.T @ v) / np.maximum((w0.T @ w0) @ h, params.epsilon)),
-                       params.epsilon)
+        h = np.maximum(h * ((w0.T @ v) / np.maximum((w0.T @ w0) @ h, EPSILON)), EPSILON)
         direct.append(_residual_objective(v, w0, h))
     assert trace == pytest.approx(direct, rel=1e-12, abs=1e-12 * np.sum(v * v))
 

@@ -135,7 +135,7 @@ def test_subband_gain_matches_brute_force_ola():
     v = square_elementwise(frame_signal(band, spec))
     h = encode(v, np.hstack([w_s, w_n]), params)
     sp, npart = split_reconstruction(w_s, w_n, h)
-    mat = np.sqrt(wiener_gain(sp, npart, params.epsilon))
+    mat = np.sqrt(wiener_gain(sp, npart))
     nf = mat.shape[1]
     covered = (nf - 1) * 4 + 16
     acc = np.zeros(covered)
