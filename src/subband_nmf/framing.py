@@ -73,13 +73,23 @@ def _overlap_sum(frames: np.ndarray, shift: int, target_len: int) -> np.ndarray:
     """Sum the columns of frames into target_len samples, column k from k*shift on.
 
     Each output sample adds the entries that land on it in column order,
-    which fixes the rounding of `overlap_add` and `spectral.istft`.
-    Samples no column reaches are zero; entries past target_len are cut.
+    starting from 0.0, which fixes the rounding of `overlap_add` and
+    `spectral.istft`.  The loop runs over the ceil(size/shift) blocks of
+    `shift` rows rather than over the columns: block j of every column
+    lands on one contiguous run of the output, shifted by j*shift, and
+    a sample's terms from blocks j and j+1 come from columns k and k-1.
+    Adding the blocks from the last to the first therefore gives each
+    sample its terms in ascending column order, the same bits as a
+    column loop.  Samples no column reaches are zero; entries past
+    target_len are cut.
     """
     size, n_frames = frames.shape
-    acc = np.zeros(max((n_frames - 1) * shift + size, target_len))
-    for k in range(n_frames):
-        acc[k * shift : k * shift + size] += frames[:, k]
+    last = (size - 1) // shift * shift
+    span = n_frames * shift
+    acc = np.zeros(max(last + span, target_len))
+    for start in range(last, -1, -shift):
+        rows = frames[start : start + shift]
+        acc[start : start + span].reshape(n_frames, shift)[:, : len(rows)] += rows.T
     return acc[:target_len]
 
 
@@ -98,12 +108,15 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndar
         raise ValueError("target_len must be positive")
 
     acc = _overlap_sum(frames, spec.frame_shift, target_len)
-    counts = _overlap_sum(np.broadcast_to(1.0, frames.shape), spec.frame_shift, target_len)
-    return acc / np.maximum(counts, 1.0)
+    # frames k with k*shift <= t < k*shift + size cover sample t
+    t = np.arange(target_len)
+    first = np.maximum((t - spec.frame_size) // spec.frame_shift + 1, 0)
+    last = np.minimum(t // spec.frame_shift, frames.shape[1] - 1)
+    return acc / np.maximum(last - first + 1, 1)
 
 
 def square_elementwise(frames: np.ndarray) -> np.ndarray:
-    """Square every entry, producing a nonnegative matrix.
+    """Square every entry of a frame matrix, or of a signal before framing.
 
     Callers validate: `encode` and `factorize` check the squared matrix
     where it enters the NMF, so the entries are not scanned here.
@@ -117,9 +130,13 @@ def check_nonneg_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D")
-    if not np.all(np.isfinite(m)):
+    if m.size == 0:
+        return m
+    # NaN propagates through min and max, and an infinity lands in one of them
+    lo, hi = m.min(), m.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{name} must contain only finite values")
-    if np.any(m < 0):
+    if lo < 0:
         raise ValueError(f"{name} must contain only nonnegative values")
     return m
 

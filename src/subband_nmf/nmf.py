@@ -69,21 +69,29 @@ def _objective(v_sq, wt_v, gram, h, hht):
     return max(d, 0.0)
 
 
-def _update_h(wt_v, gram, h):
+def _update_h(wt_v, gram, h, out):
     # H <- H .* (W^T V) ./ (W^T W H) from the products W^T V and W^T W,
     # denominator floored, result clamped up to EPSILON so no activation
-    # collapses to an absorbing zero.
-    h = h * (wt_v / np.maximum(gram @ h, EPSILON))
-    return np.maximum(h, EPSILON)
+    # collapses to an absorbing zero.  Writes only `out` (shaped like h, not
+    # aliasing any input), in the operation order of the expression
+    # max(h * (wt_v / max(gram @ h, EPSILON)), EPSILON), and returns it.
+    np.matmul(gram, h, out=out)
+    np.maximum(out, EPSILON, out=out)
+    np.divide(wt_v, out, out=out)
+    np.multiply(h, out, out=out)
+    return np.maximum(out, EPSILON, out=out)
 
 
-def _update_w(v, w, h):
-    # W <- W .* (V H^T) ./ (W H H^T), same flooring policy.  Also returns
-    # H H^T for the objective.
-    num = v @ h.T
+def _update_w(v, w, h, out):
+    # W <- W .* (V H^T) ./ (W H H^T), same flooring policy and the same
+    # single-buffer scheme as `_update_h`: writes only `out`.  Returns it
+    # and H H^T, which the objective reuses.
     hht = h @ h.T
-    w = w * (num / np.maximum(w @ hht, EPSILON))
-    return np.maximum(w, EPSILON), hht
+    np.matmul(w, hht, out=out)
+    np.maximum(out, EPSILON, out=out)
+    np.divide(v @ h.T, out, out=out)
+    np.multiply(w, out, out=out)
+    return np.maximum(out, EPSILON, out=out), hht
 
 
 def _reject_overflow(fn):
@@ -125,11 +133,17 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     h = rng.uniform(EPSILON, 1.0, size=(params.rank, n))
     v_sq = float(np.sum(v * v))
     wt_v, gram = w.T @ v, w.T @ w
+    h_next = np.empty_like(h)
     trace = []
     for _ in range(params.max_iters):
-        h = _update_h(wt_v, gram, h)
-        w, hht = _update_w(v, w, h)
-        wt_v, gram = w.T @ v, w.T @ w
+        h, h_next = _update_h(wt_v, gram, h, h_next), h
+        # a fresh W buffer each sweep, not a swapped pair: the returned W
+        # outlives the call as a model dictionary, and keeping a buffer drawn
+        # before the loop measured a higher peak RSS in processes that train
+        # repeatedly
+        w, hht = _update_w(v, w, h, np.empty_like(w))
+        np.matmul(w.T, v, out=wt_v)
+        gram = w.T @ w
         trace.append(_objective(v_sq, wt_v, gram, h, hht))
     return NmfResult(w=w, h=h, objective_trace=trace)
 
@@ -142,11 +156,11 @@ def encode(
 ) -> np.ndarray:
     """Solve for H in v ≈ w_fixed H with the dictionary held frozen.
 
-    Only the H update runs; w_fixed is never modified.  The rank comes
-    from w_fixed's column count (params.rank is ignored here).  Pass a
-    list as objective_trace to collect the per-iteration objective, formed
-    like `factorize`'s from the fixed W^T V and W^T W and each sweep's
-    H H^T.
+    Only the H update runs, alternating between two (r, n) buffers of its
+    own; v and w_fixed are only read.  The rank comes from w_fixed's
+    column count (params.rank is ignored here).  Pass a list as
+    objective_trace to collect the per-iteration objective, formed like
+    `factorize`'s from the fixed W^T V and W^T W and each sweep's H H^T.
     """
     v = check_nonneg_matrix(v, "v")
     w_fixed = check_nonneg_matrix(w_fixed, "w_fixed")
@@ -159,8 +173,9 @@ def encode(
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     v_sq = float(np.sum(v * v)) if objective_trace is not None else 0.0
+    h_next = np.empty_like(h)
     for _ in range(params.max_iters):
-        h = _update_h(wt_v, gram, h)
+        h, h_next = _update_h(wt_v, gram, h, h_next), h
         if objective_trace is not None:
             objective_trace.append(_objective(v_sq, wt_v, gram, h, h @ h.T))
     return h

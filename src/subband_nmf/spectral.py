@@ -50,9 +50,13 @@ _WINDOWS = {
 }
 
 
-def get_window(name: str, size: int) -> np.ndarray:
+def _check_window(name: str) -> None:
     if name not in _WINDOWS:
         raise ValueError(f"unknown window '{name}' (choose from {tuple(_WINDOWS)})")
+
+
+def get_window(name: str, size: int) -> np.ndarray:
+    _check_window(name)
     return _WINDOWS[name](size).astype(np.float64)
 
 
@@ -97,7 +101,8 @@ def stft(x, spec: FrameSpec, window_name: str = DEFAULT_WINDOW) -> ComplexSpectr
     """
     samples = x.samples if isinstance(x, Signal) else np.asarray(x, dtype=np.float64)
     window = get_window(window_name, spec.frame_size)
-    frames = frame_signal(samples, spec) * window[:, None]
+    frames = frame_signal(samples, spec)
+    frames *= window[:, None]
     return ComplexSpectrogram(
         values=np.fft.rfft(frames, axis=0), frame_spec=spec, window_name=window_name
     )
@@ -116,7 +121,8 @@ def istft(f: ComplexSpectrogram, target_len: int) -> np.ndarray:
     size, shift = f.frame_spec.frame_size, f.frame_spec.frame_shift
     window = get_window(f.window_name, size)
     frames = np.fft.irfft(f.values, n=size, axis=0)
-    num = _overlap_sum(window[:, None] * frames, shift, target_len)
+    frames *= window[:, None]
+    num = _overlap_sum(frames, shift, target_len)
     squared = np.broadcast_to((window * window)[:, None], frames.shape)
     return num / np.maximum(_overlap_sum(squared, shift, target_len), _OLA_FLOOR)
 
@@ -125,7 +131,7 @@ def _features(values: np.ndarray, kind: str) -> np.ndarray:
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind '{kind}' (choose from {FEATURE_KINDS})")
     mag = np.abs(values)
-    return mag * mag if kind == "power" else mag
+    return np.multiply(mag, mag, out=mag) if kind == "power" else mag
 
 
 def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
@@ -159,6 +165,7 @@ class StftBasisModel:
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
+        _check_window(self.window_name)
         if self.feature_kind not in FEATURE_KINDS:
             raise ValueError(
                 f"unknown feature kind '{self.feature_kind}' (choose from {FEATURE_KINDS})"
@@ -212,9 +219,15 @@ def train_stft_model(
 
 
 def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
-    """Ratio gain speech/(speech+noise), floored denominator, clipped to [0,1]."""
-    gain = speech_part / np.maximum(speech_part + noise_part, EPSILON)
-    return np.clip(gain, 0.0, 1.0)
+    """Ratio gain speech/(speech+noise), floored denominator, clipped to [0,1].
+
+    Allocates one float64 output buffer and forms the sum, floor, quotient
+    and clip in it; the inputs are only read.
+    """
+    gain = np.add(speech_part, noise_part, dtype=np.float64)
+    np.maximum(gain, EPSILON, out=gain)
+    np.divide(speech_part, gain, out=gain)
+    return np.clip(gain, 0.0, 1.0, out=gain)
 
 
 def separation_gain(
@@ -233,7 +246,8 @@ def separation_gain(
     h = encode(v, w_stack, params)
     speech_part, noise_part = split_reconstruction(w_s, w_n, h)
     gain = wiener_gain(speech_part, noise_part)
-    if not np.all(np.isfinite(gain)):
+    # clipped to [0, 1], so the sum is finite unless some entry is NaN
+    if not np.isfinite(np.sum(gain)):
         raise ValueError(
             "gain values must be finite: encoding the feature matrix overflowed "
             "float64, so the input level is too high for this model"

@@ -48,8 +48,8 @@ class BandModel:
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
-        if not self.sigma_clean >= 0.0:
-            raise ValueError("sigma_clean must be nonnegative")
+        if not 0.0 <= self.sigma_clean < np.inf:
+            raise ValueError(f"sigma_clean must be finite and nonnegative, got {self.sigma_clean}")
 
 
 @dataclass
@@ -153,16 +153,17 @@ def subband_gain(
 
     The square root of `separation_gain` on the squared frame matrix is
     de-framed by averaging overlap-add.  Samples past the last full
-    frame keep the final de-framed value.
+    frame keep the final de-framed value.  The band is squared before it
+    is framed, which gives the same matrix because framing only copies.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    v = square_elementwise(frame_signal(s_b, spec))
-    gain_mat = np.sqrt(separation_gain(v, w_s, w_n, params))
-    g = overlap_add(gain_mat, spec, len(s_b))
+    v = frame_signal(square_elementwise(s_b), spec)
+    gain_mat = separation_gain(v, w_s, w_n, params)
+    g = overlap_add(np.sqrt(gain_mat, out=gain_mat), spec, len(s_b))
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):
         g[covered:] = g[covered - 1]
-    return np.clip(g, 0.0, 1.0)
+    return np.clip(g, 0.0, 1.0, out=g)
 
 
 def enhance_subbands(

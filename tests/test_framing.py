@@ -161,6 +161,55 @@ def test_check_nonneg_matrix():
         check_nonneg_matrix(np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "finite"),
+        (np.inf, "finite"),
+        (-np.inf, "finite"),
+        (-0.5, "nonnegative"),
+    ],
+)
+def test_check_nonneg_matrix_messages(bad, message):
+    m = np.ones((4, 5))
+    m[2, 3] = bad
+    with pytest.raises(ValueError, match=f"^w must contain only {message} values$"):
+        check_nonneg_matrix(m, "w")
+    # the finite check comes first, whatever else is wrong
+    m[0, 0] = -1.0
+    expected = "nonnegative" if np.isfinite(bad) else "finite"
+    with pytest.raises(ValueError, match=f"only {expected} values"):
+        check_nonneg_matrix(m, "w")
+
+
+def test_check_nonneg_matrix_accepts_empty_and_negative_zero():
+    assert check_nonneg_matrix(np.zeros((0, 3))).shape == (0, 3)
+    check_nonneg_matrix(np.array([[-0.0, 1.0]]))
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    size=st.integers(1, 40),
+    shift_frac=st.floats(0.01, 1.0),
+    n_frames=st.integers(1, 12),
+    extra=st.integers(-30, 30),
+    seed=st.integers(0, 2**31),
+)
+def test_overlap_add_matches_column_loop_property(size, shift_frac, n_frames, extra, seed):
+    # the block-order sum gives the bits of a column-by-column loop
+    shift = max(1, int(size * shift_frac))
+    covered = (n_frames - 1) * shift + size
+    target_len = max(1, covered + extra)
+    frames = np.random.default_rng(seed).normal(size=(size, n_frames))
+    acc = np.zeros(max(covered, target_len))
+    cnt = np.zeros(len(acc))
+    for k in range(n_frames):
+        acc[k * shift : k * shift + size] += frames[:, k]
+        cnt[k * shift : k * shift + size] += 1.0
+    out = overlap_add(frames, FrameSpec(size, shift), target_len)
+    assert np.array_equal(out, (acc / np.maximum(cnt, 1.0))[:target_len])
+
+
 def test_rms():
     assert rms(np.zeros(0)) == 0.0
     assert rms(np.array([3.0, -3.0])) == 3.0

@@ -174,6 +174,26 @@ def test_duplicated_matrix_rejected(tmp_path):
         load_model(p)
 
 
+def test_unknown_window_rejected(tmp_path):
+    p = tmp_path / "m.snm"
+    save_model(trained_stft(tmp_path), p)
+    p.write_bytes(p.read_bytes().replace(b"window_name: hamming\n", b"window_name: hammink\n", 1))
+    with pytest.raises(ValueError, match="unknown window 'hammink'"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_non_finite_sigma_clean_rejected(tmp_path, sigma):
+    # sigma_clean is the last matrix, 1 x 4 at level 2; set band 1's entry
+    p = tmp_path / "m.snm"
+    save_model(trained_dwpt(), p)
+    raw = p.read_bytes()
+    assert raw[-32:] == np.array([b.sigma_clean for b in load_model(p).per_band]).tobytes()
+    p.write_bytes(raw[:-24] + np.array([sigma]).tobytes() + raw[-16:])
+    with pytest.raises(ValueError, match="sigma_clean must be finite and nonnegative"):
+        load_model(p)
+
+
 def test_truncated_payload(tmp_path):
     model = trained_stft(tmp_path)
     p = tmp_path / "m.snm"

@@ -199,6 +199,46 @@ def test_encode_never_mutates_dictionary():
     np.testing.assert_array_equal(w, frozen)
 
 
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def test_encode_and_factorize_only_read_their_inputs():
+    # read-only inputs make any in-place write raise; the results own
+    # their memory, and a second call starts from the same initial factors
+    r = np.random.default_rng(12)
+    v = _read_only(r.uniform(0, 1, (9, 13)))
+    w = _read_only(r.uniform(0.1, 1, (9, 4)))
+    v_bytes, w_bytes = v.tobytes(), w.tobytes()
+    params = NmfParams(rank=3, max_iters=7, seed=2)
+    trace = []
+    h = encode(v, w, params, objective_trace=trace)
+    res = factorize(v, params)
+    assert v.tobytes() == v_bytes and w.tobytes() == w_bytes
+    for out in (h, res.w, res.h):
+        assert not np.shares_memory(out, v) and not np.shares_memory(out, w)
+    assert not np.shares_memory(res.w, res.h)
+    assert np.array_equal(encode(v, w, params), h)
+    again = factorize(v, params)
+    assert np.array_equal(again.w, res.w) and np.array_equal(again.h, res.h)
+
+
+def test_encode_matches_allocating_update_bit_for_bit():
+    # the one-buffer H update keeps the operation order of this expression
+    r = np.random.default_rng(13)
+    v = r.uniform(0, 1, (11, 17)) ** 2
+    w = r.uniform(0.1, 1, (11, 6))
+    params = NmfParams(rank=6, max_iters=40, seed=4)
+    h = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (6, 17))
+    h0 = h.copy()
+    for _ in range(params.max_iters):
+        h = np.maximum(h * ((w.T @ v) / np.maximum((w.T @ w) @ h, EPSILON)), EPSILON)
+    assert np.array_equal(encode(v, w, params), h)
+    assert not np.array_equal(h, h0)
+
+
 def test_encode_row_mismatch():
     with pytest.raises(ValueError, match="row mismatch"):
         encode(np.ones((4, 2)), np.ones((5, 2)), NmfParams(rank=2, max_iters=1))

@@ -21,6 +21,7 @@ from subband_nmf import (
     train_stft_model,
     wiener_gain,
 )
+from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count
 from subband_nmf.spectral import get_window
 
@@ -105,6 +106,8 @@ def test_istft_pads_past_coverage():
         (8, 8, 3, 20, "rectangular"),
         (32, 1, 6, 30, "hann"),
         (256, 80, 9, 896, "hamming"),
+        (256, 80, 14, 1400, "hann"),
+        (7, 3, 6, 30, "hamming"),
     ],
 )
 def test_istft_brute_force_weighted_sum(size, shift, n_frames, target_len, window):
@@ -169,6 +172,26 @@ def test_wiener_gain_hand_cases():
     # equal parts split the gain exactly in half
     a = np.random.default_rng(0).uniform(0.1, 1, (4, 6))
     np.testing.assert_array_equal(wiener_gain(a, a.copy()), np.full((4, 6), 0.5))
+
+
+def test_wiener_gain_matches_two_line_formula():
+    # zeros exercise the floored denominator, negatives the clip; the
+    # inputs are read-only, so a write into them would raise
+    r = np.random.default_rng(4)
+    s = r.uniform(-0.2, 1, (6, 9))
+    n = r.uniform(-0.2, 1, (6, 9))
+    s[0, :3] = 0.0
+    n[0, :2] = 0.0
+    n[1, 0] = 1e-14
+    expected = np.clip(s / np.maximum(s + n, EPSILON), 0.0, 1.0)
+    s_bytes, n_bytes = s.tobytes(), n.tobytes()
+    s.setflags(write=False)
+    n.setflags(write=False)
+    g = wiener_gain(s, n)
+    assert np.array_equal(g, expected)
+    assert s.tobytes() == s_bytes and n.tobytes() == n_bytes
+    # integer parts give a float gain, as the formula does
+    assert np.array_equal(wiener_gain([[1, 0]], [[3, 0]]), [[0.25, 0.0]])
 
 
 @settings(deadline=None, max_examples=50)

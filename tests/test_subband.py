@@ -51,6 +51,12 @@ def test_band_model_validation():
         BandModel(np.ones((4, 1)), np.ones((4, 1)), sigma_clean=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_band_model_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma_clean must be finite and nonnegative"):
+        BandModel(np.ones((4, 1)), np.ones((4, 1)), sigma_clean=sigma)
+
+
 def test_subband_model_validation():
     bm = BandModel(np.ones((32, 1)), np.ones((32, 1)), 1.0)
     with pytest.raises(ValueError, match="band models"):
