@@ -194,9 +194,16 @@ def cmd_enhance(args) -> int:
                           params=params, normalize=cfg.normalize)
     inputs = _expand_audio(args.in_paths)
     out = Path(args.out)
+    batch = len(inputs) > 1 or out.is_dir()
+    tasks = [(p, out / p.name) for p in inputs] if batch else [(inputs[0], out)]
+    # one output per input: a second input of the same name would overwrite the first
+    writers = {}
+    for src, dst in tasks:
+        if dst in writers:
+            raise ValueError(f"{writers[dst]} and {src} would both be written to {dst}")
+        writers[dst] = src
     if len(inputs) > 1:
         out.mkdir(parents=True, exist_ok=True)
-    tasks = [(p, out / p.name) for p in inputs] if out.is_dir() else [(inputs[0], out)]
     parallel = args.jobs > 1 and len(tasks) > 1
     if parallel:
         pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_enhancer,

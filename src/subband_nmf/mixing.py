@@ -46,6 +46,9 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
+    for name, signal in (("clean", clean), ("noise", noise)):
+        if len(signal) == 0:
+            raise ValueError(f"cannot mix an empty {name} signal")
     n = len(clean.samples)
     rng = np.random.default_rng(spec.seed)
     offset = int(rng.integers(0, len(noise.samples)))

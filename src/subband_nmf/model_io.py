@@ -36,8 +36,6 @@ def save_model(model, path) -> None:
         matrices.append(("sigma_clean", np.array([[b.sigma_clean for b in model.per_band]])))
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    if model.sample_rate is None:
-        raise ValueError("model has no sample rate set; cannot serialize")
 
     header = {
         "format_version": FORMAT_VERSION,

@@ -11,7 +11,7 @@ by class and form the ratio gain.  The subband front end calls it once
 per band on squared frame matrices.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,27 +81,15 @@ class ComplexSpectrogram:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrogram values must be finite")
 
-    @property
-    def bins(self) -> int:
-        return self.values.shape[0]
 
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
-
-def stft(x, spec: FrameSpec, window_name: str = DEFAULT_WINDOW) -> ComplexSpectrogram:
+def stft(x: Signal, spec: FrameSpec, window_name: str = DEFAULT_WINDOW) -> ComplexSpectrogram:
     """Windowed short-time transform of a real signal.
 
     Frames the signal, applies the named analysis window, and takes the
     real-input DFT of each column; bins = frame_size/2 + 1.
     """
-    samples = x.samples if isinstance(x, Signal) else np.asarray(x, dtype=np.float64)
     window = get_window(window_name, spec.frame_size)
-    frames = frame_signal(samples, spec)
+    frames = frame_signal(x.samples, spec)
     frames *= window[:, None]
     return ComplexSpectrogram(
         values=np.fft.rfft(frames, axis=0), frame_spec=spec, window_name=window_name
@@ -143,8 +131,8 @@ def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
 
 
 def _check_rate(model, noisy: Signal) -> None:
-    """Reject input whose sample rate differs from the model's, when it has one."""
-    if model.sample_rate is not None and noisy.sample_rate != model.sample_rate:
+    """Reject input whose sample rate differs from the model's."""
+    if noisy.sample_rate != model.sample_rate:
         raise ValueError(
             f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
         )
@@ -159,11 +147,13 @@ class StftBasisModel:
     frame_spec: FrameSpec
     window_name: str = DEFAULT_WINDOW
     feature_kind: str = DEFAULT_FEATURE_KIND
-    sample_rate: int | None = None
+    sample_rate: int = field(kw_only=True)
 
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
         _check_window(self.window_name)
         if self.feature_kind not in FEATURE_KINDS:
@@ -179,12 +169,12 @@ def _class_features(signals, spec, window_name, feature_kind, label):
     return np.hstack(mats)
 
 
-def common_rate(signals) -> int | None:
-    """The single sample rate shared by all signals; error on a mix."""
-    rates = {s.sample_rate for s in signals if isinstance(s, Signal)}
+def common_rate(signals) -> int:
+    """The single sample rate shared by a non-empty list of signals; error on a mix."""
+    rates = {s.sample_rate for s in signals}
     if len(rates) > 1:
         raise ValueError(f"training signals have mixed sample rates: {sorted(rates)}")
-    return rates.pop() if rates else None
+    return rates.pop()
 
 
 @_reject_overflow

@@ -9,7 +9,7 @@ gain of each band comes from `spectral.separation_gain`, the back end the
 STFT baseline uses too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .framing import (
 )
 from .nmf import NmfParams, _reject_overflow, factorize
 from .spectral import _check_dictionaries, _check_rate, common_rate, separation_gain
-from .wavelets import SubbandSet, WaveletFilters, dwpt, idwpt
+from .wavelets import SubbandSet, WaveletFilters, _check_filter_name, dwpt, idwpt
 
 __all__ = [
     "BandModel",
@@ -59,12 +59,15 @@ class SubbandBasisModel:
     level: int
     filter_name: str
     frame_spec: FrameSpec
-    per_band: list[BandModel] = field(default_factory=list)
-    sample_rate: int | None = None
+    per_band: list[BandModel]
+    sample_rate: int
 
     def __post_init__(self):
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.level < 1:
             raise ValueError("level must be >= 1")
+        _check_filter_name(self.filter_name)
         if len(self.per_band) != 2**self.level:
             raise ValueError(
                 f"expected {2**self.level} band models, got {len(self.per_band)}"
@@ -92,7 +95,8 @@ def train_dwpt_model(
     """Learn per-band dictionaries from labeled time-domain signals.
 
     For every band the squared frame matrices of all utterances in a
-    class are concatenated column-wise and factorized.  sigma_clean is
+    class are concatenated column-wise and factorized; each band is
+    squared before it is framed, as in `subband_gain`.  sigma_clean is
     the rms over the band's concatenated clean samples; an all-zero
     clean set is rejected outright.
     """
@@ -120,10 +124,10 @@ def train_dwpt_model(
     bands = []
     for b in range(2**level):
         v_clean = np.hstack(
-            [square_elementwise(frame_signal(s.subbands[b], spec)) for s in clean_sets]
+            [frame_signal(square_elementwise(s.subbands[b]), spec) for s in clean_sets]
         )
         v_noise = np.hstack(
-            [square_elementwise(frame_signal(s.subbands[b], spec)) for s in noise_sets]
+            [frame_signal(square_elementwise(s.subbands[b]), spec) for s in noise_sets]
         )
         sigma = rms(np.concatenate([s.subbands[b] for s in clean_sets]))
         bands.append(
@@ -171,14 +175,12 @@ def enhance_subbands(
     model: SubbandBasisModel,
     params: NmfParams | None = None,
     normalize: bool = True,
-    force_unit_gain: bool = False,
 ) -> SubbandSet:
     """Apply per-band gain and power normalization to a decomposition.
 
-    force_unit_gain skips the gain estimate (debug path: with
-    normalize=False the result round-trips to the input).  When a band's
-    clean-training rms is zero the band is silenced rather than scaled.
-    Every band must hold at least one frame of the model's frame size.
+    When a band's clean-training rms is zero the band is silenced rather
+    than scaled.  Every band must hold at least one frame of the model's
+    frame size.
     """
     if len(s.subbands) != model.n_bands:
         raise ValueError(
@@ -191,11 +193,7 @@ def enhance_subbands(
         )
     out = []
     for band, bm in zip(s.subbands, model.per_band):
-        if force_unit_gain:
-            shat = band.copy()
-        else:
-            g = subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
-            shat = band * g
+        shat = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
         if normalize:
             if bm.sigma_clean == 0.0:
                 shat = np.zeros_like(shat)
@@ -212,7 +210,6 @@ def enhance_dwpt(
     filters: WaveletFilters,
     params: NmfParams | None = None,
     normalize: bool = True,
-    force_unit_gain: bool = False,
 ) -> Signal:
     """Full subband enhancement: decompose, gain, normalize, resynthesize.
 
@@ -231,7 +228,5 @@ def enhance_dwpt(
             f"{shortest} so that each of its {model.n_bands} subbands holds one frame"
         )
     s = dwpt(noisy, model.level, filters)
-    enhanced = enhance_subbands(
-        s, model, params, normalize=normalize, force_unit_gain=force_unit_gain
-    )
+    enhanced = enhance_subbands(s, model, params, normalize=normalize)
     return Signal(idwpt(enhanced, filters), noisy.sample_rate)

@@ -11,7 +11,7 @@ length at every split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +67,14 @@ class WaveletFilters:
         return len(self.analysis_low)
 
 
-def get_filters(name: str) -> WaveletFilters:
-    """Look up a shipped orthonormal filter family by name."""
+def _check_filter_name(name: str) -> None:
     if name not in _SCALING_TAPS:
         raise ValueError(f"unknown wavelet filter '{name}' (choose from {FILTER_NAMES})")
+
+
+def get_filters(name: str) -> WaveletFilters:
+    """Look up a shipped orthonormal filter family by name."""
+    _check_filter_name(name)
     low = np.array(_SCALING_TAPS[name], dtype=np.float64)
     # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
     high = ((-1.0) ** np.arange(len(low))) * low[::-1]
@@ -82,8 +86,8 @@ class SubbandSet:
     """The 2^level downsampled subband signals of one full-band signal."""
 
     level: int
-    subbands: list = field(default_factory=list)
-    original_length: int = 0
+    subbands: list
+    original_length: int
 
     def __post_init__(self):
         if self.level < 1:
@@ -148,18 +152,15 @@ def synthesis_merge(
     return out
 
 
-def dwpt(signal, level: int, filters: WaveletFilters) -> SubbandSet:
+def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> SubbandSet:
     """Full packet decomposition into 2^level subbands, natural tree order.
 
     The input is zero-padded to the next multiple of 2^level; the
     pre-padding length is recorded so the inverse can strip it.
     """
-    samples = signal.samples if isinstance(signal, Signal) else None
-    if samples is None:
-        samples = np.asarray(signal, dtype=np.float64)
     if level < 1:
         raise ValueError("level must be >= 1")
-    orig = len(samples)
+    orig = len(signal)
     if orig < 1:
         raise ValueError("cannot transform an empty signal")
     block = 1 << level
@@ -169,7 +170,7 @@ def dwpt(signal, level: int, filters: WaveletFilters) -> SubbandSet:
             f"level {level} too deep: a length-{orig} signal leaves less than "
             f"one {filters.taps}-tap filter span at the final split"
         )
-    x = np.concatenate([samples, np.zeros(padded_len - orig)])
+    x = np.concatenate([signal.samples, np.zeros(padded_len - orig)])
     bands = [x]
     for _ in range(level):
         split = []

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from subband_nmf import Signal
+from subband_nmf import BandModel, Signal, SubbandBasisModel
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -28,6 +28,22 @@ def make_signal(n, rate=8000, seed=0, scale=0.5):
 def make_tone(freq, dur, rate=8000, amp=0.5, phase=0.0):
     t = np.arange(int(dur * rate)) / rate
     return Signal(amp * np.sin(2 * np.pi * freq * t + phase), rate)
+
+
+def unit_gain_model(level, spec, sigma_clean=1.0):
+    """A db8, 8 kHz dwpt model whose band gains are all exactly 1.0 on any input.
+
+    Speech dictionaries of ones and noise dictionaries of zeros leave the
+    whole encoding in the speech class, so the ratio gain is 1 wherever
+    the speech part clears EPSILON; where it does not, the band is
+    silent and its product with the gain is still the band.  Enhancing
+    with it takes the real gain path: encode, split, ratio gain, root,
+    overlap-add and the tail fill.
+    """
+    band = BandModel(
+        np.ones((spec.frame_size, 4)), np.zeros((spec.frame_size, 8)), sigma_clean
+    )
+    return SubbandBasisModel(level, "db8", spec, [band] * 2**level, sample_rate=8000)
 
 
 def planted_instance(m, n, rank, seed, weak=0.008):

@@ -133,6 +133,25 @@ def test_bad_file_does_not_abort_batch(corpus, capsys, jobs):
             corpus / "out_good" / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enhance_rejects_inputs_sharing_an_output_name(corpus, capsys, jobs):
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    first, second = corpus / "a", corpus / "b"
+    for d in (first, second):
+        d.mkdir()
+        write_wav(d / "x.wav", read_wav(corpus / "noisy.wav")[0])
+    (second / "x.wav").write_bytes(b"not a wav file")  # reading it would fail
+    out = corpus / "out"
+    assert run(["enhance", "--model", model, "--in", first, second, "--out", out,
+                "--iters-encode", "20", "--seed", "0", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert f"{first / 'x.wav'} and {second / 'x.wav'} would both be written to " \
+           f"{out / 'x.wav'}" in err
+    assert "not a readable WAV file" not in err and not out.exists()
+
+
 def test_subdirectory_named_like_wav_is_skipped(corpus, capsys):
     model = corpus / "model.snm"
     run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",

@@ -88,6 +88,15 @@ def test_mix_rejects_silence_and_rate_mismatch():
         mix_at_snr(loud, make_signal(100, rate=16000), MixSpec(0.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_mix_rejects_empty_input():
+    empty, loud = Signal(np.zeros(0), 8000), make_signal(100)
+    with pytest.raises(ValueError, match="cannot mix an empty clean signal"):
+        mix_at_snr(empty, loud, MixSpec(0.0))
+    with pytest.raises(ValueError, match="cannot mix an empty noise signal"):
+        mix_at_snr(loud, empty, MixSpec(0.0))
+
+
 def test_tone_amplitude_and_rms():
     tone = synth_tone(440.0, 1.0, 8000, amplitude=0.5)
     assert np.max(np.abs(tone.samples)) <= 0.5 + 1e-12

@@ -117,10 +117,13 @@ def test_header_is_readable_text(tmp_path):
     assert "matrix sigma_clean 1 4" in header
 
 
-def test_missing_sample_rate_rejected(tmp_path):
-    model = StftBasisModel(np.ones((2, 1)), np.ones((2, 1)), FrameSpec(2, 1))
-    with pytest.raises(ValueError, match="sample rate"):
-        save_model(model, tmp_path / "m.snm")
+def test_missing_sample_rate_rejected():
+    # every model carries its sample rate, so every model can be saved
+    band = BandModel(np.ones((2, 1)), np.ones((2, 1)), 1.0)
+    with pytest.raises(TypeError, match="sample_rate"):
+        StftBasisModel(np.ones((2, 1)), np.ones((2, 1)), FrameSpec(2, 1))
+    with pytest.raises(TypeError, match="sample_rate"):
+        SubbandBasisModel(1, "haar", FrameSpec(2, 1), [band, band])
 
 
 def test_version_mismatch(tmp_path):
@@ -179,6 +182,25 @@ def test_unknown_window_rejected(tmp_path):
     save_model(trained_stft(tmp_path), p)
     p.write_bytes(p.read_bytes().replace(b"window_name: hamming\n", b"window_name: hammink\n", 1))
     with pytest.raises(ValueError, match="unknown window 'hammink'"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("rate", [b"0", b"-5"])
+@pytest.mark.parametrize("trained", ["stft", "dwpt"])
+def test_non_positive_sample_rate_rejected(tmp_path, trained, rate):
+    p = tmp_path / "m.snm"
+    save_model(trained_stft(tmp_path) if trained == "stft" else trained_dwpt(), p)
+    raw = p.read_bytes()
+    p.write_bytes(raw.replace(b"sample_rate: 8000\n", b"sample_rate: " + rate + b"\n", 1))
+    with pytest.raises(ValueError, match=f"sample_rate must be positive, got {rate.decode()}"):
+        load_model(p)
+
+
+def test_unknown_filter_name_rejected(tmp_path):
+    p = tmp_path / "m.snm"
+    save_model(trained_dwpt(), p)
+    p.write_bytes(p.read_bytes().replace(b"filter_name: db4\n", b"filter_name: db9\n", 1))
+    with pytest.raises(ValueError, match="unknown wavelet filter 'db9'"):
         load_model(p)
 
 

@@ -28,7 +28,7 @@ from subband_nmf.framing import frame_count, frame_signal, overlap_add, rms, squ
 from subband_nmf.nmf import encode, split_reconstruction
 from subband_nmf.spectral import wiener_gain
 
-from conftest import make_signal, make_tone
+from conftest import make_signal, make_tone, unit_gain_model
 
 FILT = get_filters("db8")
 
@@ -60,9 +60,9 @@ def test_band_model_rejects_non_finite_sigma(sigma):
 def test_subband_model_validation():
     bm = BandModel(np.ones((32, 1)), np.ones((32, 1)), 1.0)
     with pytest.raises(ValueError, match="band models"):
-        SubbandBasisModel(2, "db8", FrameSpec(32, 8), [bm, bm])
+        SubbandBasisModel(2, "db8", FrameSpec(32, 8), [bm, bm], 8000)
     with pytest.raises(ValueError, match="rows"):
-        SubbandBasisModel(1, "db8", FrameSpec(16, 4), [bm, bm])
+        SubbandBasisModel(1, "db8", FrameSpec(16, 4), [bm, bm], 8000)
 
 
 def test_train_shapes_and_sigma():
@@ -159,9 +159,9 @@ def test_subband_gain_matches_brute_force_ola():
 
 def test_enhance_identity_path():
     # unit gains, normalization off: pure decomposition round trip
-    model = tiny_model()
+    model = unit_gain_model(2, FrameSpec(32, 8))
     x = make_signal(3000, seed=4)
-    out = enhance_dwpt(x, model, FILT, normalize=False, force_unit_gain=True)
+    out = enhance_dwpt(x, model, FILT, normalize=False)
     assert np.max(np.abs(out.samples - x.samples)) < 1e-10
 
 
@@ -180,22 +180,19 @@ def test_enhance_normalization_sets_band_rms():
 
 def test_normalization_scale_arithmetic():
     # band with rms 4 and target 2 is scaled by exactly 0.5
-    model = tiny_model()
-    model.per_band[0].sigma_clean = 2.0
+    model = unit_gain_model(2, FrameSpec(32, 8), sigma_clean=2.0)
     band = np.full(64, 4.0)
     s_in = dwpt(make_signal(256), 2, FILT)
     s_in.subbands[0] = band
-    out = enhance_subbands(s_in, model, normalize=True, force_unit_gain=True)
+    out = enhance_subbands(s_in, model, normalize=True)
     assert rms(out.subbands[0]) == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(out.subbands[0], 2.0, atol=1e-9)
 
 
 def test_zero_sigma_band_is_silenced():
-    model = tiny_model()
-    for bm in model.per_band:
-        bm.sigma_clean = 0.0
+    model = unit_gain_model(2, FrameSpec(32, 8), sigma_clean=0.0)
     x = make_signal(2000, seed=5)
-    out = enhance_dwpt(x, model, FILT, normalize=True, force_unit_gain=True)
+    out = enhance_dwpt(x, model, FILT, normalize=True)
     np.testing.assert_allclose(out.samples, 0.0, atol=1e-12)
 
 
@@ -240,9 +237,8 @@ def test_enhance_rejects_input_shorter_than_one_frame_per_band():
 def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
     model = tiny_model(frame=FrameSpec(64, 16))
     short = dwpt(make_tone(300.0, 160 / 8000), 2, FILT)
-    for unit in (False, True):
-        with pytest.raises(ValueError, match="40 samples each, .* frame size is 64"):
-            enhance_subbands(short, model, force_unit_gain=unit)
+    with pytest.raises(ValueError, match="40 samples each, .* frame size is 64"):
+        enhance_subbands(short, model)
     s = dwpt(make_signal(256), 2, FILT)
     assert s.band_length == 64
     assert enhance_subbands(s, model).band_length == 64

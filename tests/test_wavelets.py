@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subband_nmf import FILTER_NAMES, SubbandSet, dwpt, get_filters, idwpt
+from subband_nmf import FILTER_NAMES, Signal, SubbandSet, dwpt, get_filters, idwpt
 from subband_nmf.wavelets import analysis_split, synthesis_merge
 
 from conftest import make_signal
@@ -138,9 +138,9 @@ def test_dwpt_level_one_matches_single_split():
 
 def test_haar_level_one_tiny_round_trip():
     f = get_filters("haar")
-    x = np.array([1.0, 2.0, 3.0, 4.0])
+    x = Signal(np.array([1.0, 2.0, 3.0, 4.0]), 8000)
     out = idwpt(dwpt(x, 1, f), f)
-    np.testing.assert_allclose(out, x, atol=1e-12)
+    np.testing.assert_allclose(out, x.samples, atol=1e-12)
 
 
 def test_idwpt_zero_bands():
@@ -155,7 +155,7 @@ def test_dwpt_too_deep_rejected():
 
 def test_dc_lands_in_first_band():
     # natural ordering: the all-low path is subband 0
-    s = dwpt(np.full(256, 0.5), 3, get_filters("db8"))
+    s = dwpt(Signal(np.full(256, 0.5), 8000), 3, get_filters("db8"))
     energies = [float(np.sum(b * b)) for b in s.subbands]
     assert energies[0] > 0.99 * sum(energies)
 
