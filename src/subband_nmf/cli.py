@@ -196,9 +196,14 @@ def cmd_enhance(args) -> int:
     out = Path(args.out)
     batch = len(inputs) > 1 or out.is_dir()
     tasks = [(p, out / p.name) for p in inputs] if batch else [(inputs[0], out)]
-    # one output per input: a second input of the same name would overwrite the first
+    # one output per input, and no output over an input: a second input of the
+    # same name would replace the first output, and an output at an input's
+    # path would replace that input
+    sources = {p.resolve() for p in inputs}
     writers = {}
     for src, dst in tasks:
+        if dst.resolve() in sources:
+            raise ValueError(f"{src} would be written to {dst}, which is an input")
         if dst in writers:
             raise ValueError(f"{writers[dst]} and {src} would both be written to {dst}")
         writers[dst] = src

@@ -8,7 +8,8 @@ weighted overlap-add resynthesis.
 `separation_gain` is the back end both front ends share: encode a
 feature matrix against the stacked [W_S W_N], split the reconstruction
 by class and form the ratio gain.  The subband front end calls it once
-per band on squared frame matrices.
+per band on squared frame matrices.  `_train_pair` is the training half
+they share, run after `_check_training_set` has checked the training set.
 """
 
 from dataclasses import dataclass, field
@@ -162,19 +163,34 @@ class StftBasisModel:
             )
 
 
-def _class_features(signals, spec, window_name, feature_kind, label):
-    if not signals:
-        raise ValueError(f"empty {label} training set")
-    mats = [_features(stft(s, spec, window_name).values, feature_kind) for s in signals]
-    return np.hstack(mats)
-
-
-def common_rate(signals) -> int:
-    """The single sample rate shared by a non-empty list of signals; error on a mix."""
-    rates = {s.sample_rate for s in signals}
+def _check_training_set(clean, noise) -> int:
+    """Reject an empty class, mixed rates or an all-zero clean class; return the rate."""
+    for label, signals in (("clean", clean), ("noise", noise)):
+        if not signals:
+            raise ValueError(f"empty {label} training set")
+    rates = {s.sample_rate for s in [*clean, *noise]}
     if len(rates) > 1:
         raise ValueError(f"training signals have mixed sample rates: {sorted(rates)}")
+    if not any(np.any(s.samples) for s in clean):
+        raise ValueError("degenerate clean set: all training samples are zero")
     return rates.pop()
+
+
+def _train_pair(clean, noise, features, speech_params, noise_params):
+    """The speech and noise dictionaries learned from one feature space.
+
+    The `features(item)` matrices of each class are concatenated
+    column-wise and factorized, clean first (by default at SPEECH_RANK and
+    NOISE_RANK); only the dictionary factors are kept.  This is the
+    training twin of `separation_gain`.
+    """
+    if speech_params is None:
+        speech_params = NmfParams(rank=SPEECH_RANK)
+    if noise_params is None:
+        noise_params = NmfParams(rank=NOISE_RANK)
+    v_clean = np.hstack([features(item) for item in clean])
+    v_noise = np.hstack([features(item) for item in noise])
+    return factorize(v_clean, speech_params).w, factorize(v_noise, noise_params).w
 
 
 @_reject_overflow
@@ -189,23 +205,15 @@ def train_stft_model(
 ) -> StftBasisModel:
     """Learn one spectral dictionary per class from labeled signals.
 
-    Feature matrices of all utterances in a class are concatenated
-    column-wise and factorized; only the dictionary factor is kept.
+    The training set is checked first (`_check_training_set`); then
+    `_train_pair` factorizes each class's feature matrices.
     """
-    if speech_params is None:
-        speech_params = NmfParams(rank=SPEECH_RANK)
-    if noise_params is None:
-        noise_params = NmfParams(rank=NOISE_RANK)
-    v_clean = _class_features(clean, spec, window_name, feature_kind, "clean")
-    v_noise = _class_features(noise, spec, window_name, feature_kind, "noise")
-    return StftBasisModel(
-        w_speech=factorize(v_clean, speech_params).w,
-        w_noise=factorize(v_noise, noise_params).w,
-        frame_spec=spec,
-        window_name=window_name,
-        feature_kind=feature_kind,
-        sample_rate=common_rate(list(clean) + list(noise)),
+    rate = _check_training_set(clean, noise)
+    w_speech, w_noise = _train_pair(
+        clean, noise, lambda s: _features(stft(s, spec, window_name).values, feature_kind),
+        speech_params, noise_params,
     )
+    return StftBasisModel(w_speech, w_noise, spec, window_name, feature_kind, sample_rate=rate)
 
 
 def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:

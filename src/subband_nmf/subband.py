@@ -6,14 +6,15 @@ squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
 rms before the inverse transform stitches the bands together.  The ratio
 gain of each band comes from `spectral.separation_gain`, the back end the
-STFT baseline uses too.
+STFT baseline uses too, and its dictionaries from `spectral._train_pair`,
+the shared training half.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import EPSILON, NOISE_RANK, SPEECH_RANK
+from .defaults import EPSILON
 from .framing import (
     FrameSpec,
     Signal,
@@ -23,8 +24,10 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import NmfParams, _reject_overflow, factorize
-from .spectral import _check_dictionaries, _check_rate, common_rate, separation_gain
+from .nmf import NmfParams, _reject_overflow
+from .spectral import (
+    _check_dictionaries, _check_rate, _check_training_set, _train_pair, separation_gain
+)
 from .wavelets import SubbandSet, WaveletFilters, _check_filter_name, dwpt, idwpt
 
 __all__ = [
@@ -94,21 +97,13 @@ def train_dwpt_model(
 ) -> SubbandBasisModel:
     """Learn per-band dictionaries from labeled time-domain signals.
 
-    For every band the squared frame matrices of all utterances in a
-    class are concatenated column-wise and factorized; each band is
-    squared before it is framed, as in `subband_gain`.  sigma_clean is
-    the rms over the band's concatenated clean samples; an all-zero
-    clean set is rejected outright.
+    The training set is checked first (`_check_training_set`).  Then, for
+    every band, `_train_pair` learns the pair from each class's squared
+    frame matrices; each band is squared before it is framed, as in
+    `subband_gain`.  sigma_clean is the rms over the band's concatenated
+    clean samples.
     """
-    if not clean:
-        raise ValueError("empty clean training set")
-    if not noise:
-        raise ValueError("empty noise training set")
-    if speech_params is None:
-        speech_params = NmfParams(rank=SPEECH_RANK)
-    if noise_params is None:
-        noise_params = NmfParams(rank=NOISE_RANK)
-
+    rate = _check_training_set(clean, noise)
     clean_sets = [dwpt(s, level, filters) for s in clean]
     noise_sets = [dwpt(s, level, filters) for s in noise]
     for label, sets in (("clean", clean_sets), ("noise", noise_sets)):
@@ -118,34 +113,20 @@ def train_dwpt_model(
                     f"{label} utterance {i} too short: subband 0 has "
                     f"{s.band_length} samples, frame size is {spec.frame_size}"
                 )
-    if all(np.all(s.subbands[b] == 0.0) for s in clean_sets for b in range(2**level)):
-        raise ValueError("degenerate clean set: all training samples are zero")
-
     bands = []
     for b in range(2**level):
-        v_clean = np.hstack(
-            [frame_signal(square_elementwise(s.subbands[b]), spec) for s in clean_sets]
-        )
-        v_noise = np.hstack(
-            [frame_signal(square_elementwise(s.subbands[b]), spec) for s in noise_sets]
+        # called within this iteration, so the closure sees this band's b
+        w_speech, w_noise = _train_pair(
+            clean_sets, noise_sets,
+            lambda s: frame_signal(square_elementwise(s.subbands[b]), spec),
+            speech_params, noise_params,
         )
         sigma = rms(np.concatenate([s.subbands[b] for s in clean_sets]))
-        bands.append(
-            BandModel(
-                w_speech=factorize(v_clean, speech_params).w,
-                w_noise=factorize(v_noise, noise_params).w,
-                sigma_clean=sigma,
-            )
-        )
-    return SubbandBasisModel(
-        level=level,
-        filter_name=filters.name,
-        frame_spec=spec,
-        per_band=bands,
-        sample_rate=common_rate(list(clean) + list(noise)),
-    )
+        bands.append(BandModel(w_speech, w_noise, sigma))
+    return SubbandBasisModel(level, filters.name, spec, bands, rate)
 
 
+@_reject_overflow
 def subband_gain(
     s_b: np.ndarray,
     w_s: np.ndarray,
@@ -170,6 +151,7 @@ def subband_gain(
     return np.clip(g, 0.0, 1.0, out=g)
 
 
+@_reject_overflow
 def enhance_subbands(
     s: SubbandSet,
     model: SubbandBasisModel,

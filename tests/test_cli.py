@@ -152,6 +152,25 @@ def test_enhance_rejects_inputs_sharing_an_output_name(corpus, capsys, jobs):
     assert "not a readable WAV file" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("form", ["directory", "file"])
+def test_enhance_refuses_to_overwrite_an_input(corpus, capsys, jobs, form):
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    noisy = corpus / "noisy"
+    noisy.mkdir()
+    for name in ("x.wav", "y.wav"):
+        write_wav(noisy / name, read_wav(corpus / "noisy.wav")[0])
+    before = {p.name: p.read_bytes() for p in noisy.iterdir()}
+    target = noisy if form == "directory" else noisy / "x.wav"
+    assert run(["enhance", "--model", model, "--in", target, "--out", target,
+                "--iters-encode", "20", "--seed", "0", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert f"{noisy / 'x.wav'} would be written to {noisy / 'x.wav'}, which is an input" in err
+    assert {p.name: p.read_bytes() for p in noisy.iterdir()} == before
+
+
 def test_subdirectory_named_like_wav_is_skipped(corpus, capsys):
     model = corpus / "model.snm"
     run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",

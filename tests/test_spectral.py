@@ -244,6 +244,16 @@ def test_train_mixed_rates_rejected():
         )
 
 
+def test_train_rejects_all_zero_clean():
+    silent = Signal(np.zeros(4000), 8000)
+    with pytest.raises(ValueError, match="degenerate clean set"):
+        train_stft_model(
+            [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], FrameSpec(64, 16),
+            speech_params=NmfParams(rank=1, max_iters=2),
+            noise_params=NmfParams(rank=1, max_iters=2),
+        )
+
+
 def test_rank_one_feature_matrix_recovered():
     # power features of a stationary tone form a near-rank-1 matrix
     x = make_tone(500.0, 0.5)

@@ -24,8 +24,9 @@ from subband_nmf import (
     train_dwpt_model,
     train_stft_model,
 )
+from subband_nmf import spectral, subband
 from subband_nmf.framing import frame_count, frame_signal, overlap_add, rms, square_elementwise
-from subband_nmf.nmf import encode, split_reconstruction
+from subband_nmf.nmf import encode, factorize, split_reconstruction
 from subband_nmf.spectral import wiener_gain
 
 from conftest import make_signal, make_tone, unit_gain_model
@@ -105,6 +106,27 @@ def test_train_rejects_all_zero_clean():
             [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], 2, FILT, FrameSpec(32, 8),
             speech_params=small_params(1, 2), noise_params=small_params(1, 2),
         )
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_mixed_rates_rejected_before_any_factorization(monkeypatch, front_end):
+    # the training set is checked at entry, not after the dictionaries are learned
+    calls = []
+
+    def counting_factorize(v, params):
+        calls.append(v.shape)
+        return factorize(v, params)
+
+    for module in (spectral, subband):
+        monkeypatch.setattr(module, "factorize", counting_factorize, raising=False)
+    clean, noise = [make_tone(300, 0.5, rate=8000)], [make_tone(300, 0.5, rate=16000)]
+    kw = dict(speech_params=small_params(1, 2), noise_params=small_params(1, 2))
+    with pytest.raises(ValueError, match="mixed sample rates"):
+        if front_end == "dwpt":
+            train_dwpt_model(clean, noise, 2, FILT, FrameSpec(32, 8), **kw)
+        else:
+            train_stft_model(clean, noise, FrameSpec(32, 8), **kw)
+    assert calls == []
 
 
 def test_subband_gain_hand_case():
@@ -281,12 +303,19 @@ def test_overflowing_input_raises_one_value_error():
     stft_model = train_stft_model(
         [make_tone(500.0, 1.5)], [synth_white_noise(1.5, 8000, 0, 0.5)], frame, **train_kw
     )
+    band = dwpt_model.per_band[0]
     for exponent in (153, 154, 300):
         noisy = Signal(x * 10.0**exponent, 8000)
         clean = Signal(tone * 10.0**exponent, 8000)
+        bands = dwpt(noisy, 2, FILT)
         calls = {
-            "enhance_dwpt": lambda: enhance_dwpt(noisy, dwpt_model, FILT, small_params(1, 10)),
-            "enhance_stft": lambda: enhance_stft(noisy, stft_model, small_params(1, 10)),
+            "enhance_dwpt": lambda: enhance_dwpt(
+                noisy, dwpt_model, FILT, small_params(1, 10)).samples,
+            "enhance_stft": lambda: enhance_stft(noisy, stft_model, small_params(1, 10)).samples,
+            "enhance_subbands": lambda: np.concatenate(
+                enhance_subbands(bands, dwpt_model, small_params(1, 10)).subbands),
+            "subband_gain": lambda: subband_gain(
+                bands.subbands[0], band.w_speech, band.w_noise, frame, small_params(1, 10)),
             "train_dwpt": lambda: train_dwpt_model([clean], [noisy], 2, FILT, frame, **train_kw),
             "train_stft": lambda: train_stft_model([clean], [noisy], frame, **train_kw),
         }
@@ -299,5 +328,5 @@ def test_overflowing_input_raises_one_value_error():
                     assert str(e).startswith("input level too high"), (exponent, name)
                     continue
             # enhancing at 1e153 overflows nothing on this input
-            assert exponent == 153 and name.startswith("enhance"), (exponent, name)
-            assert np.all(np.isfinite(out.samples))
+            assert exponent == 153 and not name.startswith("train"), (exponent, name)
+            assert np.all(np.isfinite(out))
