@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: train, enhance, mix, eval, roundtrip.  Every knob can also
-come from a plain-text config file of `key = value` lines; explicit
-flags win over the file, the file wins over built-in defaults.  The
-seed falls back to the SUBBAND_NMF_SEED environment variable before the
-built-in default, so whole experiment scripts can be re-seeded without
-touching every call.
+Subcommands: train, enhance, mix, eval, roundtrip.  Flags can also come
+from a settings file named as `@file`: its tokens stand in its place on
+the command line, so a flag after it overrides the file, and each value
+passes the same type and choice checks as a flag.  In the file, `#`
+starts a comment.  The seed falls back to the SUBBAND_NMF_SEED
+environment variable before the built-in default, so whole experiment
+scripts can be re-seeded without touching every call.
 """
 
 import argparse
@@ -14,10 +15,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 
@@ -32,73 +31,11 @@ from .subband import enhance_dwpt, train_dwpt_model
 from .wav_io import read_wav, write_wav
 from .wavelets import FILTER_NAMES, dwpt, get_filters, idwpt
 
-METHODS = ("stft-nmf", "dwpt-nmf")
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-@dataclass
-class CliConfig:
-    """The train/enhance settings; each field's default is the built-in one.
-
-    frame_size and frame_shift default to the method's geometry, and seed
-    to $SUBBAND_NMF_SEED, then DEFAULT_SEED.  Numeric values are checked by
-    the FrameSpec and NmfParams built from them, so only `method`, which a
-    config file can set past argparse's choices, is checked here.
-    """
-
-    method: str = "dwpt-nmf"
-    frame_size: int | None = None
-    frame_shift: int | None = None
-    level: int = defaults.DWPT_LEVEL
-    filter_name: str = defaults.DEFAULT_FILTER
-    speech_rank: int = defaults.SPEECH_RANK
-    noise_rank: int = defaults.NOISE_RANK
-    iters_train: int = defaults.TRAIN_ITERS
-    iters_encode: int = defaults.ENCODE_ITERS
-    seed: int | None = None
-    normalize: bool = True
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got '{self.method}'")
-        if self.method == "stft-nmf":
-            size, shift = defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT
-        else:
-            size, shift = defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT
-        self.frame_size = size if self.frame_size is None else self.frame_size
-        self.frame_shift = shift if self.frame_shift is None else self.frame_shift
-        if self.seed is None:
-            self.seed = _default_seed()
-
-
-# Config-file keys and their value types (int for `int | None`), in field order.
-_CONFIG_KEYS = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(CliConfig)}
-
-
-def parse_config_file(path) -> dict:
-    """Read `key = value` lines; blank lines and #-comments are skipped."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got '{raw}'")
-        key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        conv = _CONFIG_KEYS[key]
-        if conv is bool:
-            if val.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{path}:{lineno}: bad boolean '{val}'")
-            values[key] = _BOOL_WORDS[val.lower()]
-        else:
-            try:
-                values[key] = conv(val)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for '{key}': '{val}'")
-    return values
+# each method's default frame geometry, (frame_size, frame_shift)
+METHOD_FRAMES = {
+    "stft-nmf": (defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT),
+    "dwpt-nmf": (defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT),
+}
 
 
 def _default_seed() -> int:
@@ -110,15 +47,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{defaults.SEED_ENV_VAR} must be an integer, got '{raw}'")
-
-
-def resolve_config(args) -> CliConfig:
-    """Merge flags > config file > environment seed > defaults."""
-    values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for name in _CONFIG_KEYS:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    return CliConfig(**values)
 
 
 def _expand_audio(paths) -> list:
@@ -143,19 +71,21 @@ def _expand_audio(paths) -> list:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    spec = FrameSpec(cfg.frame_size, cfg.frame_shift)
-    speech_params = NmfParams(cfg.speech_rank, cfg.iters_train, cfg.seed)
-    noise_params = NmfParams(cfg.noise_rank, cfg.iters_train, cfg.seed)
+    size, shift = METHOD_FRAMES[args.method]
+    spec = FrameSpec(size if args.frame_size is None else args.frame_size,
+                     shift if args.frame_shift is None else args.frame_shift)
+    seed = _default_seed() if args.seed is None else args.seed
+    speech_params = NmfParams(args.speech_rank, args.iters_train, seed)
+    noise_params = NmfParams(args.noise_rank, args.iters_train, seed)
     clean = [read_wav(p)[0] for p in _expand_audio(args.clean)]
     noise = [read_wav(p)[0] for p in _expand_audio(args.noise)]
-    if cfg.method == "stft-nmf":
+    if args.method == "stft-nmf":
         model = train_stft_model(
             clean, noise, spec, speech_params=speech_params, noise_params=noise_params
         )
     else:
         model = train_dwpt_model(
-            clean, noise, cfg.level, get_filters(cfg.filter_name), spec,
+            clean, noise, args.level, get_filters(args.filter_name), spec,
             speech_params=speech_params, noise_params=noise_params,
         )
     save_model(model, args.out)
@@ -183,15 +113,15 @@ def _enhance_one(task):
 def cmd_enhance(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = resolve_config(args)
+    seed = _default_seed() if args.seed is None else args.seed
     # encode takes the rank from the model's dictionaries, not from params
-    params = NmfParams(rank=1, max_iters=cfg.iters_encode, seed=cfg.seed)
+    params = NmfParams(rank=1, max_iters=args.iters_encode, seed=seed)
     model = load_model(args.model)
     if isinstance(model, StftBasisModel):
         enhance = partial(enhance_stft, model=model, params=params)
     else:
         enhance = partial(enhance_dwpt, model=model, filters=get_filters(model.filter_name),
-                          params=params, normalize=cfg.normalize)
+                          params=params, normalize=args.normalize)
     inputs = _expand_audio(args.in_paths)
     out = Path(args.out)
     batch = len(inputs) > 1 or out.is_dir()
@@ -296,40 +226,24 @@ def cmd_roundtrip(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, training: bool):
-    p.add_argument("--config", help="key = value config file; flags take precedence")
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line):
+        # a settings-file line holds any number of tokens; '#' starts a comment
+        return arg_line.split("#", 1)[0].split()
+
+
+def _add_seed(p: argparse.ArgumentParser, what: str):
     p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default {defaults.DEFAULT_SEED}, or ${defaults.SEED_ENV_VAR})")
-    if training:
-        p.add_argument("--method", choices=METHODS, default=None,
-                       help="enhancement method (default dwpt-nmf)")
-        p.add_argument("--frame-size", dest="frame_size", type=int, default=None,
-                       help=f"analysis frame length (default {defaults.STFT_FRAME_SIZE} stft, "
-                            f"{defaults.DWPT_FRAME_SIZE} dwpt)")
-        p.add_argument("--frame-shift", dest="frame_shift", type=int, default=None,
-                       help=f"frame hop (default {defaults.STFT_FRAME_SHIFT} stft, "
-                            f"{defaults.DWPT_FRAME_SHIFT} dwpt)")
-        p.add_argument("--level", type=int, default=None,
-                       help=f"wavelet tree depth (default {defaults.DWPT_LEVEL})")
-        p.add_argument("--filter", dest="filter_name", choices=FILTER_NAMES, default=None,
-                       help=f"wavelet family (default {defaults.DEFAULT_FILTER})")
-        p.add_argument("--speech-rank", dest="speech_rank", type=int, default=None,
-                       help=f"speech dictionary columns (default {defaults.SPEECH_RANK})")
-        p.add_argument("--noise-rank", dest="noise_rank", type=int, default=None,
-                       help=f"noise dictionary columns (default {defaults.NOISE_RANK})")
-        p.add_argument("--iters-train", dest="iters_train", type=int, default=None,
-                       help=f"training update sweeps (default {defaults.TRAIN_ITERS})")
-    else:
-        p.add_argument("--iters-encode", dest="iters_encode", type=int, default=None,
-                       help=f"encoding update sweeps (default {defaults.ENCODE_ITERS})")
-        p.add_argument("--no-normalize", dest="normalize", action="store_false",
-                       default=None, help="skip subband power normalization")
+                   help=f"{what} seed (default ${defaults.SEED_ENV_VAR}, "
+                        f"else {defaults.DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subband-nmf",
-        description="Supervised subband/spectral NMF speech enhancement toolkit",
+        description="Supervised subband/spectral NMF speech enhancement toolkit. "
+                    "An @FILE argument stands for the flags written in FILE.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -337,7 +251,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", nargs="+", required=True, help="clean WAV files or directories")
     p.add_argument("--noise", nargs="+", required=True, help="noise WAV files or directories")
     p.add_argument("--out", required=True, help="model file to write")
-    _add_common(p, training=True)
+    p.add_argument("--method", choices=METHOD_FRAMES, default="dwpt-nmf",
+                   help="enhancement method (default %(default)s)")
+    p.add_argument("--frame-size", dest="frame_size", type=int, default=None,
+                   help=f"analysis frame length (default {defaults.STFT_FRAME_SIZE} stft, "
+                        f"{defaults.DWPT_FRAME_SIZE} dwpt)")
+    p.add_argument("--frame-shift", dest="frame_shift", type=int, default=None,
+                   help=f"frame hop (default {defaults.STFT_FRAME_SHIFT} stft, "
+                        f"{defaults.DWPT_FRAME_SHIFT} dwpt)")
+    p.add_argument("--level", type=int, default=defaults.DWPT_LEVEL,
+                   help="wavelet tree depth (default %(default)s)")
+    p.add_argument("--filter", dest="filter_name", choices=FILTER_NAMES,
+                   default=defaults.DEFAULT_FILTER, help="wavelet family (default %(default)s)")
+    p.add_argument("--speech-rank", dest="speech_rank", type=int, default=defaults.SPEECH_RANK,
+                   help="speech dictionary columns (default %(default)s)")
+    p.add_argument("--noise-rank", dest="noise_rank", type=int, default=defaults.NOISE_RANK,
+                   help="noise dictionary columns (default %(default)s)")
+    p.add_argument("--iters-train", dest="iters_train", type=int, default=defaults.TRAIN_ITERS,
+                   help="training update sweeps (default %(default)s)")
+    _add_seed(p, "RNG")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enhance", help="suppress noise in WAV files with a trained model")
@@ -345,16 +277,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_paths", nargs="+", required=True,
                    help="noisy WAV files or directories")
     p.add_argument("--out", required=True, help="output WAV file, or directory for batches")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    _add_common(p, training=False)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers (default %(default)s)")
+    p.add_argument("--iters-encode", dest="iters_encode", type=int, default=defaults.ENCODE_ITERS,
+                   help="encoding update sweeps (default %(default)s)")
+    p.add_argument("--no-normalize", dest="normalize", action="store_false",
+                   help="skip subband power normalization")
+    _add_seed(p, "RNG")
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("mix", help="add noise to a clean WAV at a target SNR")
     p.add_argument("--clean", required=True)
     p.add_argument("--noise", required=True)
     p.add_argument("--snr", type=float, required=True, help="target SNR in dB")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"noise offset seed (default {defaults.DEFAULT_SEED})")
+    _add_seed(p, "noise offset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mix)
 

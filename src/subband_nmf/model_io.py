@@ -72,6 +72,8 @@ def _parse_header(text, path):
             matrices.append((parts[1], rows, cols))
         elif ": " in line:
             key, value = line.split(": ", 1)
+            if key in fields:
+                raise ValueError(f"{path}: header field '{key}' appears twice")
             fields[key] = value
         else:
             raise ValueError(f"{path}: malformed header line '{line}'")

@@ -164,15 +164,19 @@ class StftBasisModel:
 
 
 def _check_training_set(clean, noise) -> int:
-    """Reject an empty class, mixed rates or an all-zero clean class; return the rate."""
+    """Reject an empty class, mixed rates or a clean class too small to square; return the rate.
+
+    Both front ends train on squared samples, so a clean class of
+    subnormal samples trains the same degenerate model as silence.
+    """
     for label, signals in (("clean", clean), ("noise", noise)):
         if not signals:
             raise ValueError(f"empty {label} training set")
     rates = {s.sample_rate for s in [*clean, *noise]}
     if len(rates) > 1:
         raise ValueError(f"training signals have mixed sample rates: {sorted(rates)}")
-    if not any(np.any(s.samples) for s in clean):
-        raise ValueError("degenerate clean set: all training samples are zero")
+    if not any(np.any(np.square(s.samples)) for s in clean):
+        raise ValueError("degenerate clean set: every training sample squares to zero")
     return rates.pop()
 
 

@@ -38,8 +38,10 @@ def read_wav(path) -> tuple[Signal, WavInfo]:
             rate = wf.getframerate()
             n = wf.getnframes()
             raw = wf.readframes(n)
-    except wave.Error as e:
-        raise ValueError(f"{path}: not a readable WAV file ({e})") from e
+    except (wave.Error, EOFError, RuntimeError) as e:
+        # wave raises EOFError for a chunk header cut short and RuntimeError
+        # for a chunk it cannot skip; both carry an empty message
+        raise ValueError(f"{path}: not a readable WAV file ({str(e) or type(e).__name__})") from e
     if comp != "NONE":
         raise ValueError(f"{path}: compressed WAV not supported (comptype {comp})")
     if width != 2:

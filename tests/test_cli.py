@@ -5,9 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from subband_nmf import Signal, mix_at_snr, MixSpec, read_wav, ssnr, write_wav
+from subband_nmf import FrameSpec, NmfParams, Signal, mix_at_snr, MixSpec, read_wav, ssnr
+from subband_nmf import write_wav
 from subband_nmf import synth_tone, synth_white_noise
-from subband_nmf.cli import main, parse_config_file
+from subband_nmf import cli, defaults
+from subband_nmf.cli import build_parser, main
 
 RATE = 8000
 
@@ -131,6 +133,26 @@ def test_bad_file_does_not_abort_batch(corpus, capsys, jobs):
     for name in ("n0.wav", "n2.wav"):
         assert (corpus / "out_mixed" / name).read_bytes() == (
             corpus / "out_good" / name).read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_zero_byte_wav_does_not_abort_batch(corpus, capsys, jobs):
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    batch = corpus / "batch"
+    batch.mkdir()
+    for name in ("a.wav", "c.wav"):
+        write_wav(batch / name, read_wav(corpus / "noisy.wav")[0])
+    (batch / "b.wav").write_bytes(b"")
+    out = corpus / "out"
+    assert run(["enhance", "--model", model, "--in", batch, "--out", out,
+                "--iters-encode", "20", "--seed", "0", "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {batch / 'b.wav'}: {batch / 'b.wav'}: not a readable WAV file (EOFError)" \
+        in err
+    assert "1 of 3 inputs failed" in err
+    assert sorted(p.name for p in out.iterdir()) == ["a.wav", "c.wav"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -340,42 +362,110 @@ def test_enhance_rejects_jobs_below_one(corpus, tmp_path, capsys, jobs):
     assert not (tmp_path / "o.wav").exists()
 
 
-def test_config_file_values_are_checked(corpus, tmp_path, capsys):
-    base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
-            "--out", tmp_path / "m.snm", "--config", tmp_path / "run.cfg"]
-    for line, message in [("method = nmf", "method must be one of"),
-                          ("gain_on_magnitude = direct", "unknown config key 'gain_on_magnitude'"),
-                          ("noise_rank = 0", "rank must be at least 1"),
-                          ("iters_train = 0", "max_iters must be at least 1"),
-                          ("epsilon = 1e-12", "unknown config key 'epsilon'")]:
-        (tmp_path / "run.cfg").write_text(line + "\n")
-        assert run(base) == 1
+def test_config_file_values_are_checked(tmp_path, capsys):
+    # a settings file's values pass argparse's checks, then NmfParams', all
+    # before any audio is read: the WAV paths here do not exist
+    missing = tmp_path / "missing.wav"
+    args = tmp_path / "run.args"
+    train = ["train", "--clean", missing, "--noise", missing, "--out", tmp_path / "m.snm",
+             f"@{args}"]
+    for line, message in [("--method nmf", "argument --method: invalid choice"),
+                          ("--filter db9", "argument --filter: invalid choice"),
+                          ("--epsilon 1", "unrecognized arguments: --epsilon 1")]:
+        args.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run(train)
+        assert exc.value.code == 2
         assert message in capsys.readouterr().err
+    for line, message in [("--noise-rank 0", "error: rank must be at least 1\n"),
+                          ("--iters-train 0", "error: max_iters must be at least 1\n")]:
+        args.write_text(line + "\n")
+        assert run(train) == 1
+        assert capsys.readouterr().err == message
+    # an enhance file may hold only enhance flags
+    args.write_text("--level 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["enhance", "--model", tmp_path / "missing.snm", "--in", missing,
+             "--out", tmp_path / "o.wav", f"@{args}"])
+    assert exc.value.code == 2
     assert not (tmp_path / "m.snm").exists()
 
 
-def test_config_file_and_flag_precedence(corpus, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
+@pytest.mark.parametrize("method", ["stft-nmf", "dwpt-nmf"])
+def test_args_file_matches_inline_flags(corpus, tmp_path, method):
+    args = tmp_path / "run.args"
+    args.write_text(
         "# experiment settings\n"
-        "method = stft-nmf\n"
-        "speech_rank = 2\n"
-        "noise_rank = 3\n"
-        "iters_train = 25\n"
-        "frame_size = 64\n"
-        "frame_shift = 16\n"
-        "seed = 5\n"
+        f"--method {method}\n"
+        "\n"
+        "--frame-size 64 --frame-shift 16  # geometry\n"
+        "--level 2\n"
+        "--filter db4\n"
+        "--speech-rank 2\n"
+        "--noise-rank 3\n"
+        "#--noise-rank 9\n"
+        "--iters-train 25\n"
+        "--seed 5\n"
     )
-    a = corpus / "a.snm"
-    b = corpus / "b.snm"
-    c = corpus / "c.snm"
+    inline = ["--method", method, "--frame-size", "64", "--frame-shift", "16", "--level", "2",
+              "--filter", "db4", "--speech-rank", "2", "--noise-rank", "3",
+              "--iters-train", "25", "--seed", "5"]
     base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav"]
-    run([*base, "--out", a, "--config", cfg])
-    run([*base, "--out", b, "--config", cfg])
-    assert a.read_bytes() == b.read_bytes()
-    # explicit flag overrides the file's seed, changing the model
-    run([*base, "--out", c, "--config", cfg, "--seed", "9"])
-    assert a.read_bytes() != c.read_bytes()
+    assert run([*base, "--out", tmp_path / "file.snm", f"@{args}"]) == 0
+    assert run([*base, "--out", tmp_path / "flags.snm", *inline]) == 0
+    assert (tmp_path / "file.snm").read_bytes() == (tmp_path / "flags.snm").read_bytes()
+
+
+def test_config_file_and_flag_precedence(corpus, tmp_path):
+    # the command line reads as if the file's tokens stood in its place,
+    # so the last of two values wins
+    args = tmp_path / "run.args"
+    args.write_text("--method stft-nmf\n"
+                    + " ".join(TRAIN_FLAGS).replace("--seed 0", "--seed 5") + "\n")
+    base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav"]
+    models = {}
+    for tag, tail in [("file", [f"@{args}"]), ("after", [f"@{args}", "--seed", "9"]),
+                      ("before", ["--seed", "9", f"@{args}"])]:
+        models[tag] = tmp_path / f"{tag}.snm"
+        assert run([*base, "--out", models[tag], *tail]) == 0
+    assert models["before"].read_bytes() == models["file"].read_bytes()
+    assert models["after"].read_bytes() != models["file"].read_bytes()
+
+
+@pytest.mark.parametrize("method", ["stft-nmf", "dwpt-nmf"])
+def test_train_and_enhance_defaults(corpus, monkeypatch, method):
+    monkeypatch.delenv("SUBBAND_NMF_SEED", raising=False)
+    args = build_parser().parse_args(["enhance", "--model", "m", "--in", "x", "--out", "y"])
+    assert (args.jobs, args.iters_encode, args.normalize, args.seed) == (
+        1, defaults.ENCODE_ITERS, True, None)
+    argv = ["train", "--clean", str(corpus / "clean.wav"), "--noise", str(corpus / "noise.wav"),
+            "--out", str(corpus / "m.snm")]
+    args = build_parser().parse_args(argv)
+    assert (args.method, args.level, args.filter_name, args.speech_rank, args.noise_rank,
+            args.iters_train, args.seed) == (
+        "dwpt-nmf", defaults.DWPT_LEVEL, defaults.DEFAULT_FILTER, defaults.SPEECH_RANK,
+        defaults.NOISE_RANK, defaults.TRAIN_ITERS, None)
+    # the frame geometry follows the method; stop at the trainer
+    seen = {}
+
+    def trainer(clean, noise, *rest, speech_params, noise_params):
+        seen.update(spec=rest[-1], speech=speech_params, noise=noise_params, rest=rest[:-1])
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "train_stft_model", trainer)
+    monkeypatch.setattr(cli, "train_dwpt_model", trainer)
+    assert main([*argv, "--method", method]) == 1
+    if method == "stft-nmf":
+        assert seen["spec"] == FrameSpec(defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT)
+        assert seen["rest"] == ()
+    else:
+        assert seen["spec"] == FrameSpec(defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT)
+        level, filters = seen["rest"]
+        assert (level, filters.name) == (defaults.DWPT_LEVEL, defaults.DEFAULT_FILTER)
+    assert seen["speech"] == NmfParams(defaults.SPEECH_RANK, defaults.TRAIN_ITERS,
+                                       defaults.DEFAULT_SEED)
+    assert seen["noise"] == NmfParams(defaults.NOISE_RANK, defaults.TRAIN_ITERS,
+                                      defaults.DEFAULT_SEED)
 
 
 def test_env_seed_fallback(corpus, monkeypatch):
@@ -389,20 +479,6 @@ def test_env_seed_fallback(corpus, monkeypatch):
     monkeypatch.delenv("SUBBAND_NMF_SEED")
     run([*base, "--out", b, "--seed", "123"])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_parse_config_rejects_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("wavelets = db8\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        parse_config_file(cfg)
-
-
-def test_parse_config_line_numbers(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seed = 1\nnot a setting\n")
-    with pytest.raises(ValueError, match="bad.cfg:2"):
-        parse_config_file(cfg)
 
 
 def test_cli_errors_exit_one(tmp_path, capsys):

@@ -177,6 +177,16 @@ def test_duplicated_matrix_rejected(tmp_path):
         load_model(p)
 
 
+def test_repeated_header_field_rejected(tmp_path):
+    # a second sample_rate line would otherwise replace the first one
+    p = tmp_path / "m.snm"
+    save_model(trained_stft(tmp_path), p)
+    p.write_bytes(p.read_bytes().replace(b"sample_rate: 8000\n",
+                                         b"sample_rate: 8000\nsample_rate: 16000\n", 1))
+    with pytest.raises(ValueError, match="header field 'sample_rate' appears twice"):
+        load_model(p)
+
+
 def test_unknown_window_rejected(tmp_path):
     p = tmp_path / "m.snm"
     save_model(trained_stft(tmp_path), p)

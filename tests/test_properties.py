@@ -2,12 +2,14 @@
 
 Every finite input is either enhanced to a finite signal of its own
 length or rejected with a ValueError; silence in gives silence out;
-gains stay in [0, 1]; and a corrupt model file raises only ValueError.
+gains stay in [0, 1]; and a corrupt model or WAV file raises only
+ValueError.
 """
 
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,11 +21,13 @@ from subband_nmf import (
     enhance_stft,
     get_filters,
     load_model,
+    read_wav,
     save_model,
     separation_gain,
     subband_gain,
     train_dwpt_model,
     train_stft_model,
+    write_wav,
 )
 
 from conftest import make_tone, make_signal
@@ -123,11 +127,8 @@ def corruptions():
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 1), corruptions())
-def test_corrupt_model_file_raises_only_value_error(tmp_path_factory, which, corruption):
-    tmp_dir = tmp_path_factory.getbasetemp()
-    raw = bytearray(saved_bytes(tmp_dir)[which])
+def corrupt(raw, corruption) -> bytes:
+    raw = bytearray(raw)
     kind, pos, byte = corruption
     pos %= len(raw)
     if kind == "truncate":
@@ -136,10 +137,38 @@ def test_corrupt_model_file_raises_only_value_error(tmp_path_factory, which, cor
         raw[pos] = byte
     else:
         raw.insert(pos, byte)
+    return bytes(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1), corruptions())
+def test_corrupt_model_file_raises_only_value_error(tmp_path_factory, which, corruption):
+    tmp_dir = tmp_path_factory.getbasetemp()
     path = tmp_dir / "corrupt.snm"
-    path.write_bytes(bytes(raw))
+    path.write_bytes(corrupt(saved_bytes(tmp_dir)[which], corruption))
     try:
         load_model(path)
+    except ValueError:
+        pass
+
+
+@functools.lru_cache(maxsize=None)
+def wav_bytes(tmp_dir):
+    path = tmp_dir / "clip.wav"
+    write_wav(path, make_signal(300, seed=2))
+    return path.read_bytes()
+
+
+# a corrupt channel count is read as a multichannel file, which warns
+@pytest.mark.filterwarnings("ignore:.*averaging")
+@settings(max_examples=60, deadline=None)
+@given(corruptions())
+def test_corrupt_wav_file_raises_only_value_error(tmp_path_factory, corruption):
+    tmp_dir = tmp_path_factory.getbasetemp()
+    path = tmp_dir / "corrupt.wav"
+    path.write_bytes(corrupt(wav_bytes(tmp_dir), corruption))
+    try:
+        read_wav(path)
     except ValueError:
         pass
 

@@ -245,13 +245,15 @@ def test_train_mixed_rates_rejected():
 
 
 def test_train_rejects_all_zero_clean():
-    silent = Signal(np.zeros(4000), 8000)
-    with pytest.raises(ValueError, match="degenerate clean set"):
-        train_stft_model(
-            [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], FrameSpec(64, 16),
-            speech_params=NmfParams(rank=1, max_iters=2),
-            noise_params=NmfParams(rank=1, max_iters=2),
-        )
+    # subnormal samples square to zero, so they would train what silence does
+    for value in (0.0, 5e-324, 1e-320):
+        silent = Signal(np.full(4000, value), 8000)
+        with pytest.raises(ValueError, match="degenerate clean set"):
+            train_stft_model(
+                [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], FrameSpec(64, 16),
+                speech_params=NmfParams(rank=1, max_iters=2),
+                noise_params=NmfParams(rank=1, max_iters=2),
+            )
 
 
 def test_rank_one_feature_matrix_recovered():

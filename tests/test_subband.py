@@ -100,12 +100,14 @@ def test_train_rejects_short_utterance():
 
 
 def test_train_rejects_all_zero_clean():
-    silent = Signal(np.zeros(4000), 8000)
-    with pytest.raises(ValueError, match="degenerate clean set"):
-        train_dwpt_model(
-            [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], 2, FILT, FrameSpec(32, 8),
-            speech_params=small_params(1, 2), noise_params=small_params(1, 2),
-        )
+    # subnormal samples square to zero, so they would train what silence does
+    for value in (0.0, 5e-324, 1e-320):
+        silent = Signal(np.full(4000, value), 8000)
+        with pytest.raises(ValueError, match="degenerate clean set"):
+            train_dwpt_model(
+                [silent], [synth_white_noise(0.5, 8000, 0, 0.5)], 2, FILT, FrameSpec(32, 8),
+                speech_params=small_params(1, 2), noise_params=small_params(1, 2),
+            )
 
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])
