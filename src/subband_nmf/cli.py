@@ -154,7 +154,7 @@ def cmd_enhance(args) -> int:
         for task, call in zip(tasks, calls):
             try:
                 print(f"wrote {call()}")
-            except ValueError as e:
+            except (ValueError, OSError) as e:
                 failed += 1
                 print(f"error: {task[0]}: {e}", file=sys.stderr)
     if failed:

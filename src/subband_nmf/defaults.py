@@ -3,8 +3,6 @@
 # STFT pipeline framing
 STFT_FRAME_SIZE = 256
 STFT_FRAME_SHIFT = 80
-DEFAULT_WINDOW = "hamming"
-DEFAULT_FEATURE_KIND = "power"
 
 # Wavelet-packet pipeline framing
 DWPT_FRAME_SIZE = 1000

@@ -10,7 +10,7 @@ and every structural invariant is re-checked on load.
 import numpy as np
 
 from .framing import FrameSpec
-from .spectral import StftBasisModel
+from .spectral import FEATURE_KIND, WINDOW_NAME, StftBasisModel, _check_analysis
 from .subband import BandModel, SubbandBasisModel
 
 __all__ = ["FORMAT_VERSION", "load_model", "save_model"]
@@ -25,7 +25,7 @@ def save_model(model, path) -> None:
     """Serialize a trained model; see the module docstring for layout."""
     if isinstance(model, StftBasisModel):
         kind = _KIND_STFT
-        extra = {"window_name": model.window_name, "feature_kind": model.feature_kind}
+        extra = {"window_name": WINDOW_NAME, "feature_kind": FEATURE_KIND}
         matrices = [("w_speech", model.w_speech), ("w_noise", model.w_noise)]
     elif isinstance(model, SubbandBasisModel):
         kind = _KIND_DWPT
@@ -161,14 +161,10 @@ def load_model(path):
         offset += 8 * count
 
     if kind == _KIND_STFT:
-        return StftBasisModel(
-            w_speech=arrays["w_speech"],
-            w_noise=arrays["w_noise"],
-            frame_spec=spec,
-            window_name=_require(fields, "window_name", path),
-            feature_kind=_require(fields, "feature_kind", path),
-            sample_rate=rate,
+        _check_analysis(
+            _require(fields, "window_name", path), _require(fields, "feature_kind", path)
         )
+        return StftBasisModel(arrays["w_speech"], arrays["w_noise"], spec, rate)
     n_bands = len(matrices) // 2  # the names check above: two per band, then sigma_clean
     sigma = arrays["sigma_clean"]
     if sigma.shape != (1, n_bands):

@@ -1,7 +1,7 @@
 """STFT-domain supervised enhancement baseline, and the shared gain core.
 
-Pipeline: windowed STFT, per-class dictionary training on power (or
-magnitude) spectra, fixed-dictionary encoding of the noisy spectrogram,
+Pipeline: Hamming-windowed STFT, per-class dictionary training on power
+spectra, fixed-dictionary encoding of the noisy spectrogram,
 ratio gain on the magnitudes with the phase carried through untouched,
 weighted overlap-add resynthesis.
 
@@ -12,18 +12,11 @@ per band on squared frame matrices.  `_train_pair` is the training half
 they share, run after `_check_training_set` has checked the training set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (
-    DEFAULT_FEATURE_KIND,
-    DEFAULT_WINDOW,
-    ENCODE_ITERS,
-    EPSILON,
-    NOISE_RANK,
-    SPEECH_RANK,
-)
+from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import FrameSpec, Signal, _overlap_sum, check_nonneg_matrix, frame_signal
 from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
 
@@ -38,27 +31,24 @@ __all__ = [
     "wiener_gain",
 ]
 
-FEATURE_KINDS = ("power", "magnitude")
+# The one analysis this front end runs, by the names a model file's header
+# gives it: a Hamming window, and power spectra as NMF features.
+WINDOW_NAME = "hamming"
+FEATURE_KIND = "power"
 
 # Synthesis denominator floor: keeps fully-uncovered samples at zero
 # instead of dividing 0/0.
 _OLA_FLOOR = 1e-8
 
-_WINDOWS = {
-    "hamming": np.hamming,
-    "hann": np.hanning,
-    "rectangular": np.ones,
-}
 
-
-def _check_window(name: str) -> None:
-    if name not in _WINDOWS:
-        raise ValueError(f"unknown window '{name}' (choose from {tuple(_WINDOWS)})")
-
-
-def get_window(name: str, size: int) -> np.ndarray:
-    _check_window(name)
-    return _WINDOWS[name](size).astype(np.float64)
+def _check_analysis(window_name: str, feature_kind: str) -> None:
+    """Reject any window or feature kind but the Hamming window and power spectra."""
+    if window_name != WINDOW_NAME:
+        raise ValueError(f"unknown window '{window_name}' (only '{WINDOW_NAME}' is supported)")
+    if feature_kind != FEATURE_KIND:
+        raise ValueError(
+            f"unknown feature kind '{feature_kind}' (only '{FEATURE_KIND}' is supported)"
+        )
 
 
 @dataclass
@@ -67,7 +57,6 @@ class ComplexSpectrogram:
 
     values: np.ndarray
     frame_spec: FrameSpec
-    window_name: str = DEFAULT_WINDOW
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -83,32 +72,29 @@ class ComplexSpectrogram:
             raise ValueError("spectrogram values must be finite")
 
 
-def stft(x: Signal, spec: FrameSpec, window_name: str = DEFAULT_WINDOW) -> ComplexSpectrogram:
-    """Windowed short-time transform of a real signal.
+def stft(x: Signal, spec: FrameSpec) -> ComplexSpectrogram:
+    """Hamming-windowed short-time transform of a real signal.
 
-    Frames the signal, applies the named analysis window, and takes the
+    Frames the signal, applies the Hamming window, and takes the
     real-input DFT of each column; bins = frame_size/2 + 1.
     """
-    window = get_window(window_name, spec.frame_size)
     frames = frame_signal(x.samples, spec)
-    frames *= window[:, None]
-    return ComplexSpectrogram(
-        values=np.fft.rfft(frames, axis=0), frame_spec=spec, window_name=window_name
-    )
+    frames *= np.hamming(spec.frame_size)[:, None]
+    return ComplexSpectrogram(values=np.fft.rfft(frames, axis=0), frame_spec=spec)
 
 
 def istft(f: ComplexSpectrogram, target_len: int) -> np.ndarray:
     """Weighted overlap-add inverse of `stft`.
 
-    Each inverse-transformed frame is weighted by the synthesis window
-    (same as analysis) and accumulated; the sum is divided by the
+    Each inverse-transformed frame is weighted by the Hamming synthesis
+    window (the analysis window) and accumulated; the sum is divided by the
     accumulated squared window, floored at 1e-8.  Covered samples come
     back exactly; samples past the coverage are zero.
     """
     if target_len < 0:
         raise ValueError("target_len must be nonnegative")
     size, shift = f.frame_spec.frame_size, f.frame_spec.frame_shift
-    window = get_window(f.window_name, size)
+    window = np.hamming(size)
     frames = np.fft.irfft(f.values, n=size, axis=0)
     frames *= window[:, None]
     num = _overlap_sum(frames, shift, target_len)
@@ -116,11 +102,10 @@ def istft(f: ComplexSpectrogram, target_len: int) -> np.ndarray:
     return num / np.maximum(_overlap_sum(squared, shift, target_len), _OLA_FLOOR)
 
 
-def _features(values: np.ndarray, kind: str) -> np.ndarray:
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"unknown feature kind '{kind}' (choose from {FEATURE_KINDS})")
+def _power(values: np.ndarray) -> np.ndarray:
+    """The power spectrum |values|^2 of STFT values, the NMF features."""
     mag = np.abs(values)
-    return np.multiply(mag, mag, out=mag) if kind == "power" else mag
+    return np.multiply(mag, mag, out=mag)
 
 
 def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
@@ -141,14 +126,12 @@ def _check_rate(model, noisy: Signal) -> None:
 
 @dataclass
 class StftBasisModel:
-    """Per-class spectral dictionaries plus the analysis settings."""
+    """Per-class power-spectrum dictionaries plus the analysis geometry."""
 
     w_speech: np.ndarray
     w_noise: np.ndarray
     frame_spec: FrameSpec
-    window_name: str = DEFAULT_WINDOW
-    feature_kind: str = DEFAULT_FEATURE_KIND
-    sample_rate: int = field(kw_only=True)
+    sample_rate: int
 
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
@@ -156,11 +139,6 @@ class StftBasisModel:
         if not self.sample_rate > 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
-        _check_window(self.window_name)
-        if self.feature_kind not in FEATURE_KINDS:
-            raise ValueError(
-                f"unknown feature kind '{self.feature_kind}' (choose from {FEATURE_KINDS})"
-            )
 
 
 def _check_training_set(clean, noise) -> int:
@@ -202,22 +180,24 @@ def train_stft_model(
     clean,
     noise,
     spec: FrameSpec,
-    window_name: str = DEFAULT_WINDOW,
-    feature_kind: str = DEFAULT_FEATURE_KIND,
+    # kept only because perfbench/workloads.py's train_stft passes both positionally
+    window_name: str = WINDOW_NAME,
+    feature_kind: str = FEATURE_KIND,
     speech_params: NmfParams | None = None,
     noise_params: NmfParams | None = None,
 ) -> StftBasisModel:
-    """Learn one spectral dictionary per class from labeled signals.
+    """Learn one power-spectrum dictionary per class from labeled signals.
 
+    `window_name` and `feature_kind` accept only "hamming" and "power".
     The training set is checked first (`_check_training_set`); then
-    `_train_pair` factorizes each class's feature matrices.
+    `_train_pair` factorizes each class's power spectra.
     """
+    _check_analysis(window_name, feature_kind)
     rate = _check_training_set(clean, noise)
     w_speech, w_noise = _train_pair(
-        clean, noise, lambda s: _features(stft(s, spec, window_name).values, feature_kind),
-        speech_params, noise_params,
+        clean, noise, lambda s: _power(stft(s, spec).values), speech_params, noise_params
     )
-    return StftBasisModel(w_speech, w_noise, spec, window_name, feature_kind, sample_rate=rate)
+    return StftBasisModel(w_speech, w_noise, spec, rate)
 
 
 def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
@@ -267,7 +247,6 @@ def enhance_stft(
     magnitudes directly while the phase rides along unchanged.
     """
     _check_rate(model, noisy)
-    spec = stft(noisy, model.frame_spec, model.window_name)
-    v = _features(spec.values, model.feature_kind)
-    spec.values *= separation_gain(v, model.w_speech, model.w_noise, params)
+    spec = stft(noisy, model.frame_spec)
+    spec.values *= separation_gain(_power(spec.values), model.w_speech, model.w_noise, params)
     return Signal(istft(spec, len(noisy.samples)), noisy.sample_rate)

@@ -61,7 +61,9 @@ def write_wav(path, signal: Signal) -> None:
     # unbiased across positive and negative amplitudes
     q = np.sign(x) * np.floor(np.abs(x) * _SCALE + 0.5)
     q = np.clip(q, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    # wave.open(path) would leave a half-built writer whose __del__ raises
+    # a stray AttributeError when the path cannot be opened
+    with open(path, "wb") as f, wave.open(f, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(int(signal.sample_rate))

@@ -3,7 +3,9 @@
 The traced runs report per-layer metrics named `<module>.<function>.*`
 (BENCHMARK.json) and compute counts from a traced call's bound arguments
 (perfbench/tracer.py).  A renamed function or parameter breaks every
-traced run; these checks catch it without running the benchmark.
+traced run; these checks catch it without running the benchmark.  The
+workloads' two trainer calls run on a small corpus, so that a changed
+trainer signature fails here too, not only in perfbench/test_bench.py.
 """
 
 import importlib
@@ -14,20 +16,23 @@ from pathlib import Path
 
 import pytest
 
+import subband_nmf as snm
+
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _load_tracer():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _load_tracer()
+TRACER = _load_perfbench("tracer")
+WORKLOADS = _load_perfbench("workloads")
 
 
 def _function(qualified):
@@ -65,3 +70,14 @@ def test_tracer_counter_takes_the_counted_functions_parameters(qualified, counte
     wanted = list(inspect.signature(fn).parameters)
     taken = [p for p in inspect.signature(counter).parameters if p != "result"]
     assert taken == wanted, qualified
+
+
+@pytest.mark.parametrize("front_end", ["stft", "dwpt"])
+def test_workload_trainers_run(front_end):
+    # 1.5 s per class, at the workloads' paper geometry and sweep count
+    clean = [WORKLOADS.swept_tone(1.5, seed=1)]
+    noises = [WORKLOADS.noise("pink", 1.5, 2)]
+    model = getattr(WORKLOADS, f"train_{front_end}")(clean, noises)
+    assert model.sample_rate == WORKLOADS.RATE
+    expected = {"stft": snm.StftBasisModel, "dwpt": snm.SubbandBasisModel}[front_end]
+    assert isinstance(model, expected)

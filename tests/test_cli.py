@@ -137,22 +137,45 @@ def test_bad_file_does_not_abort_batch(corpus, capsys, jobs):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_zero_byte_wav_does_not_abort_batch(corpus, capsys, jobs):
+    # two faults, one per file: b.wav cannot be read, and the output path of
+    # c.wav is taken by a directory, so it cannot be written
     model = corpus / "model.snm"
     run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
          "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
     batch = corpus / "batch"
     batch.mkdir()
-    for name in ("a.wav", "c.wav"):
+    for name in ("a.wav", "c.wav", "d.wav"):
         write_wav(batch / name, read_wav(corpus / "noisy.wav")[0])
     (batch / "b.wav").write_bytes(b"")
     out = corpus / "out"
+    (out / "c.wav").mkdir(parents=True)
+    capsys.readouterr()
     assert run(["enhance", "--model", model, "--in", batch, "--out", out,
                 "--iters-encode", "20", "--seed", "0", "--jobs", jobs]) == 1
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert f"error: {batch / 'b.wav'}: {batch / 'b.wav'}: not a readable WAV file (EOFError)" \
-        in err
-    assert "1 of 3 inputs failed" in err
-    assert sorted(p.name for p in out.iterdir()) == ["a.wav", "c.wav"]
+        in captured.err
+    assert f"error: {batch / 'c.wav'}: [Errno 21] Is a directory: '{out / 'c.wav'}'" \
+        in captured.err
+    assert "2 of 4 inputs failed" in captured.err
+    assert captured.out.splitlines() == [f"wrote {out / 'a.wav'}", f"wrote {out / 'd.wav'}"]
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == ["a.wav", "d.wav"]
+
+
+def test_input_named_with_leading_at_sign(corpus, capsys, monkeypatch):
+    # argparse reads an argument starting with "@" as a settings file, so a
+    # WAV named "@take1.wav" is passed as "./@take1.wav"
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    (corpus / "@take1.wav").write_bytes((corpus / "noisy.wav").read_bytes())
+    monkeypatch.chdir(corpus)
+    flags = ["--model", model, "--out", "take1_out.wav", "--iters-encode", "20", "--seed", "0"]
+    with pytest.raises(SystemExit) as exc:
+        run(["enhance", "--in", "@take1.wav", *flags])
+    assert exc.value.code == 2
+    assert run(["enhance", "--in", "./@take1.wav", *flags]) == 0
+    assert read_wav(corpus / "take1_out.wav")[1].frame_count == 8000
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -61,8 +61,6 @@ def test_stft_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.w_speech, model.w_speech)
     np.testing.assert_array_equal(back.w_noise, model.w_noise)
     assert back.frame_spec == model.frame_spec
-    assert back.window_name == model.window_name
-    assert back.feature_kind == model.feature_kind
     assert back.sample_rate == 8000
 
 
@@ -94,17 +92,15 @@ def test_hand_built_minimal_stft_model(tmp_path):
     # 2 bins needs frame_size 2; rank-1 dictionaries
     w_s = np.array([[0.5], [1.5]])
     w_n = np.array([[2.0], [0.25]])
-    model = StftBasisModel(
-        w_s, w_n, FrameSpec(2, 1), window_name="rectangular",
-        feature_kind="magnitude", sample_rate=16000,
-    )
+    model = StftBasisModel(w_s, w_n, FrameSpec(2, 1), sample_rate=16000)
     p = tmp_path / "tiny.snm"
     save_model(model, p)
     back = load_model(p)
     np.testing.assert_array_equal(back.w_speech, w_s)
     np.testing.assert_array_equal(back.w_noise, w_n)
     assert back.sample_rate == 16000
-    assert back.window_name == "rectangular"
+    header = p.read_bytes().split(b"\n\n", 1)[0].decode("ascii").splitlines()
+    assert "window_name: hamming" in header and "feature_kind: power" in header
 
 
 def test_header_is_readable_text(tmp_path):
@@ -192,6 +188,21 @@ def test_unknown_window_rejected(tmp_path):
     save_model(trained_stft(tmp_path), p)
     p.write_bytes(p.read_bytes().replace(b"window_name: hamming\n", b"window_name: hammink\n", 1))
     with pytest.raises(ValueError, match="unknown window 'hammink'"):
+        load_model(p)
+
+
+@pytest.mark.parametrize(
+    "saved, edited, message",
+    [(b"window_name: hamming", b"window_name: hann", "unknown window 'hann'"),
+     (b"feature_kind: power", b"feature_kind: magnitude", "unknown feature kind 'magnitude'")],
+    ids=["hann", "magnitude"],
+)
+def test_other_analysis_rejected(tmp_path, saved, edited, message):
+    # the stft front end runs only a Hamming window over power spectra
+    p = tmp_path / "m.snm"
+    save_model(trained_stft(tmp_path), p)
+    p.write_bytes(p.read_bytes().replace(saved + b"\n", edited + b"\n", 1))
+    with pytest.raises(ValueError, match=message):
         load_model(p)
 
 

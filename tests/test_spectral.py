@@ -23,17 +23,8 @@ from subband_nmf import (
 )
 from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count
-from subband_nmf.spectral import get_window
 
 from conftest import make_signal, make_tone
-
-
-def test_get_window_names():
-    np.testing.assert_array_equal(get_window("hamming", 64), np.hamming(64))
-    np.testing.assert_array_equal(get_window("hann", 64), np.hanning(64))
-    np.testing.assert_array_equal(get_window("rectangular", 16), np.ones(16))
-    with pytest.raises(ValueError, match="unknown window"):
-        get_window("blackman", 64)
 
 
 def test_spectrogram_validation():
@@ -49,7 +40,7 @@ def test_stft_matches_direct_dft():
     # hand oracle: rfft of one windowed frame computed by direct summation
     x = make_signal(40, seed=6)
     spec = FrameSpec(16, 8)
-    s = stft(x, spec, "hamming")
+    s = stft(x, spec)
     assert s.values.shape == (9, frame_count(40, spec))
     w = np.hamming(16)
     frame0 = x.samples[:16] * w
@@ -78,11 +69,9 @@ def test_bin_centered_tone_concentrates():
 
 def test_istft_identity_interior():
     x = make_signal(2000, seed=4)
-    for window in ("hamming", "hann", "rectangular"):
-        s = stft(x, FrameSpec(256, 80), window)
-        y = istft(s, 2000)
-        interior = slice(256, 2000 - 256)
-        assert np.max(np.abs(y[interior] - x.samples[interior])) < 1e-8
+    y = istft(stft(x, FrameSpec(256, 80)), 2000)
+    interior = slice(256, 2000 - 256)
+    assert np.max(np.abs(y[interior] - x.samples[interior])) < 1e-8
 
 
 def test_istft_zero_spectrogram():
@@ -97,27 +86,23 @@ def test_istft_pads_past_coverage():
     np.testing.assert_array_equal(y[64:], 0.0)
 
 
+ISTFT_CASES = [(16, 4, 5, 32), (15, 7, 4, 40), (8, 8, 3, 20), (32, 1, 6, 30),
+               (256, 80, 9, 896), (256, 80, 14, 1400), (7, 3, 6, 30)]
+
+
 @pytest.mark.parametrize(
-    "size, shift, n_frames, target_len, window",
-    [
-        (16, 4, 5, 32, "hamming"),
-        (15, 7, 4, 40, "hann"),
-        (8, 8, 3, 20, "rectangular"),
-        (32, 1, 6, 30, "hann"),
-        (256, 80, 9, 896, "hamming"),
-        (256, 80, 14, 1400, "hann"),
-        (7, 3, 6, 30, "hamming"),
-    ],
+    "size, shift, n_frames, target_len", ISTFT_CASES,
+    ids=["-".join(map(str, case)) + "-hamming" for case in ISTFT_CASES],
 )
-def test_istft_brute_force_weighted_sum(size, shift, n_frames, target_len, window):
-    # window-weighted frames over the summed squared window, each sample
+def test_istft_brute_force_weighted_sum(size, shift, n_frames, target_len):
+    # Hamming-weighted frames over the summed squared window, each sample
     # accumulated in column order, so the result is bit-identical
     r = np.random.default_rng(11)
     bins = size // 2 + 1
     values = r.normal(size=(bins, n_frames)) + 1j * r.normal(size=(bins, n_frames))
-    spec = ComplexSpectrogram(values, FrameSpec(size, shift), window)
+    spec = ComplexSpectrogram(values, FrameSpec(size, shift))
     frames = np.fft.irfft(spec.values, n=size, axis=0)
-    w = get_window(window, size)
+    w = np.hamming(size)
     n = max((n_frames - 1) * shift + size, target_len)
     num = np.zeros(n)
     den = np.zeros(n)
@@ -133,20 +118,18 @@ def test_istft_brute_force_weighted_sum(size, shift, n_frames, target_len, windo
 @given(
     size_exp=st.integers(3, 8),
     shift_frac=st.floats(0.1, 1.0),
-    window=st.sampled_from(("hamming", "hann", "rectangular")),
     seed=st.integers(0, 2**31),
 )
-def test_istft_round_trip_property(size_exp, shift_frac, window, seed):
+def test_istft_round_trip_property(size_exp, shift_frac, seed):
     # reconstruction is exact wherever the accumulated squared window is
-    # meaningfully above the synthesis floor; hann's zero endpoints can
-    # leave isolated samples with no usable weight at large shifts
+    # meaningfully above the synthesis floor
     size = 2**size_exp
     shift = max(1, int(size * shift_frac))
     n = 4 * size
     x = make_signal(n, seed=seed)
     spec = FrameSpec(size, shift)
-    y = istft(stft(x, spec, window), n)
-    w2 = get_window(window, size) ** 2
+    y = istft(stft(x, spec), n)
+    w2 = np.hamming(size) ** 2
     weight = np.zeros(n)
     for k in range(frame_count(n, spec)):
         weight[k * shift : k * shift + size] += w2
@@ -209,10 +192,6 @@ def test_model_validation():
         StftBasisModel(np.ones((5, 2)), np.ones((9, 2)), spec, sample_rate=8000)
     with pytest.raises(ValueError, match="nonnegative"):
         StftBasisModel(-np.ones((9, 2)), np.ones((9, 2)), spec, sample_rate=8000)
-    with pytest.raises(ValueError, match="feature kind"):
-        StftBasisModel(
-            np.ones((9, 2)), np.ones((9, 2)), spec, feature_kind="mel", sample_rate=8000
-        )
 
 
 def test_train_on_sinusoid_concentrates_dictionary():
@@ -226,6 +205,19 @@ def test_train_on_sinusoid_concentrates_dictionary():
     assert model.sample_rate == 8000
     for k in range(model.w_speech.shape[1]):
         assert abs(int(np.argmax(model.w_speech[:, k])) - 16) <= 1
+
+
+@pytest.mark.parametrize(
+    "window_name, feature_kind, message",
+    [("hann", "power", "unknown window 'hann'"),
+     ("hamming", "magnitude", "unknown feature kind 'magnitude'")],
+    ids=["hann", "magnitude"],
+)
+def test_train_rejects_other_analyses_before_any_work(window_name, feature_kind, message):
+    # an empty clean class would fail the training-set check, so reaching
+    # the analysis error shows that it comes first
+    with pytest.raises(ValueError, match=message):
+        train_stft_model([], [], FrameSpec(64, 16), window_name, feature_kind)
 
 
 def test_train_empty_class_rejected():
@@ -293,7 +285,7 @@ def test_enhance_preserves_phase():
     noisy = mix_at_snr(
         make_tone(500.0, 0.5), synth_white_noise(0.5, 8000, 7, 0.5), MixSpec(5.0, 1)
     )
-    v = stft(noisy, model.frame_spec, model.window_name).values
+    v = stft(noisy, model.frame_spec).values
     w = np.hstack([model.w_speech, model.w_noise])
     from subband_nmf import encode, split_reconstruction
 

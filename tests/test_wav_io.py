@@ -1,5 +1,7 @@
 """PCM16 WAV round trips and quantization conventions."""
 
+import gc
+import sys
 import wave
 
 import numpy as np
@@ -113,3 +115,14 @@ def test_read_rejects_non_wav(tmp_path):
     p.write_bytes(b"definitely not RIFF data")
     with pytest.raises(ValueError, match="not a readable WAV"):
         read_wav(p)
+
+
+def test_write_to_directory_raises_only_the_open_error(tmp_path, monkeypatch):
+    # a writer that wave built around a path it could not open would fail
+    # again in its __del__, as an unraisable AttributeError
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with pytest.raises(IsADirectoryError):
+        write_wav(tmp_path, Signal(np.zeros(8), 8000))
+    gc.collect()
+    assert unraisable == []
