@@ -8,7 +8,6 @@ from .mixing import (
 from .model_io import load_model, save_model
 from .nmf import NmfParams, NmfResult, encode, factorize, split_reconstruction
 from .spectral import (
-    ComplexSpectrogram,
     StftBasisModel,
     enhance_stft,
     istft,
@@ -26,13 +25,12 @@ from .subband import (
     train_dwpt_model,
 )
 from .wav_io import WavInfo, read_wav, write_wav
-from .wavelets import FILTER_NAMES, SubbandSet, WaveletFilters, dwpt, get_filters, idwpt
+from .wavelets import FILTER_NAMES, WaveletFilters, dwpt, get_filters, idwpt
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BandModel",
-    "ComplexSpectrogram",
     "FILTER_NAMES",
     "FrameSpec",
     "MetricReport",
@@ -42,7 +40,6 @@ __all__ = [
     "Signal",
     "StftBasisModel",
     "SubbandBasisModel",
-    "SubbandSet",
     "WaveletFilters",
     "WavInfo",
     "dwpt",

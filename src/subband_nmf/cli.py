@@ -141,8 +141,10 @@ def cmd_enhance(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     parallel = args.jobs > 1 and len(tasks) > 1
     if parallel:
-        pool = ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_enhancer,
-                                   initargs=(enhance,))
+        # the pool starts all its workers at the first submit, so start no
+        # more than there are files
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks)),
+                                   initializer=_set_enhancer, initargs=(enhance,))
     else:
         _set_enhancer(enhance)
         pool = nullcontext()
@@ -214,11 +216,11 @@ def cmd_roundtrip(args) -> int:
     x = signal.samples
     if args.transform == "dwpt":
         filters = get_filters(args.filter_name)
-        y = idwpt(dwpt(signal, args.level, filters), filters)
+        y = idwpt(dwpt(signal, args.level, filters), filters, len(x))
         label = f"dwpt level={args.level} filter={filters.name}"
     else:
         spec = FrameSpec(args.frame_size, args.frame_shift)
-        y = istft(stft(signal, spec), len(x))
+        y = istft(stft(signal, spec), spec, len(x))
         label = f"stft frame={spec.frame_size} shift={spec.frame_shift}"
     err = float(np.mean((x - y) ** 2))
     print(f"transform={label}")

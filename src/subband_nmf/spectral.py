@@ -3,7 +3,9 @@
 Pipeline: Hamming-windowed STFT, per-class dictionary training on power
 spectra, fixed-dictionary encoding of the noisy spectrogram,
 ratio gain on the magnitudes with the phase carried through untouched,
-weighted overlap-add resynthesis.
+weighted overlap-add resynthesis.  The spectrogram is a plain complex
+matrix: `stft` returns it (bins x frames) and `istft(values, spec,
+target_len)` checks its shape and finiteness before inverting it.
 
 `separation_gain` is the back end both front ends share: encode a
 feature matrix against the stacked [W_S W_N], split the reconstruction
@@ -21,7 +23,6 @@ from .framing import FrameSpec, Signal, _overlap_sum, check_nonneg_matrix, frame
 from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
 
 __all__ = [
-    "ComplexSpectrogram",
     "StftBasisModel",
     "enhance_stft",
     "istft",
@@ -51,51 +52,42 @@ def _check_analysis(window_name: str, feature_kind: str) -> None:
         )
 
 
-@dataclass
-class ComplexSpectrogram:
-    """Complex STFT values (bins x frames) plus the analysis geometry."""
-
-    values: np.ndarray
-    frame_spec: FrameSpec
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ValueError("spectrogram values must be 2-D")
-        expected = self.frame_spec.frame_size // 2 + 1
-        if self.values.shape[0] != expected:
-            raise ValueError(
-                f"expected {expected} bins for frame size "
-                f"{self.frame_spec.frame_size}, got {self.values.shape[0]}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrogram values must be finite")
-
-
-def stft(x: Signal, spec: FrameSpec) -> ComplexSpectrogram:
+def stft(x: Signal, spec: FrameSpec) -> np.ndarray:
     """Hamming-windowed short-time transform of a real signal.
 
     Frames the signal, applies the Hamming window, and takes the
-    real-input DFT of each column; bins = frame_size/2 + 1.
+    real-input DFT of each column: a complex (frame_size/2 + 1, frames)
+    matrix.
     """
     frames = frame_signal(x.samples, spec)
     frames *= np.hamming(spec.frame_size)[:, None]
-    return ComplexSpectrogram(values=np.fft.rfft(frames, axis=0), frame_spec=spec)
+    return np.fft.rfft(frames, axis=0)
 
 
-def istft(f: ComplexSpectrogram, target_len: int) -> np.ndarray:
+def istft(values: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndarray:
     """Weighted overlap-add inverse of `stft`.
 
-    Each inverse-transformed frame is weighted by the Hamming synthesis
+    values must be a finite 2-D matrix with frame_size/2 + 1 rows; irfft
+    would silently crop or pad any other bin count.  Each
+    inverse-transformed frame is weighted by the Hamming synthesis
     window (the analysis window) and accumulated; the sum is divided by the
     accumulated squared window, floored at 1e-8.  Covered samples come
     back exactly; samples past the coverage are zero.
     """
+    values = np.asarray(values)
+    size, shift = spec.frame_size, spec.frame_shift
+    if values.ndim != 2:
+        raise ValueError("spectrogram values must be 2-D")
+    if values.shape[0] != size // 2 + 1:
+        raise ValueError(
+            f"expected {size // 2 + 1} bins for frame size {size}, got {values.shape[0]}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("spectrogram values must be finite")
     if target_len < 0:
         raise ValueError("target_len must be nonnegative")
-    size, shift = f.frame_spec.frame_size, f.frame_spec.frame_shift
     window = np.hamming(size)
-    frames = np.fft.irfft(f.values, n=size, axis=0)
+    frames = np.fft.irfft(values, n=size, axis=0)
     frames *= window[:, None]
     num = _overlap_sum(frames, shift, target_len)
     squared = np.broadcast_to((window * window)[:, None], frames.shape)
@@ -195,7 +187,7 @@ def train_stft_model(
     _check_analysis(window_name, feature_kind)
     rate = _check_training_set(clean, noise)
     w_speech, w_noise = _train_pair(
-        clean, noise, lambda s: _power(stft(s, spec).values), speech_params, noise_params
+        clean, noise, lambda s: _power(stft(s, spec)), speech_params, noise_params
     )
     return StftBasisModel(w_speech, w_noise, spec, rate)
 
@@ -247,6 +239,6 @@ def enhance_stft(
     magnitudes directly while the phase rides along unchanged.
     """
     _check_rate(model, noisy)
-    spec = stft(noisy, model.frame_spec)
-    spec.values *= separation_gain(_power(spec.values), model.w_speech, model.w_noise, params)
-    return Signal(istft(spec, len(noisy.samples)), noisy.sample_rate)
+    values = stft(noisy, model.frame_spec)
+    values *= separation_gain(_power(values), model.w_speech, model.w_noise, params)
+    return Signal(istft(values, model.frame_spec, len(noisy.samples)), noisy.sample_rate)

@@ -28,7 +28,7 @@ from .nmf import NmfParams, _reject_overflow
 from .spectral import (
     _check_dictionaries, _check_rate, _check_training_set, _train_pair, separation_gain
 )
-from .wavelets import SubbandSet, WaveletFilters, _check_filter_name, dwpt, idwpt
+from .wavelets import WaveletFilters, _check_filter_name, dwpt, idwpt
 
 __all__ = [
     "BandModel",
@@ -108,20 +108,20 @@ def train_dwpt_model(
     noise_sets = [dwpt(s, level, filters) for s in noise]
     for label, sets in (("clean", clean_sets), ("noise", noise_sets)):
         for i, s in enumerate(sets):
-            if s.band_length < spec.frame_size:
+            if s.shape[1] < spec.frame_size:
                 raise ValueError(
                     f"{label} utterance {i} too short: subband 0 has "
-                    f"{s.band_length} samples, frame size is {spec.frame_size}"
+                    f"{s.shape[1]} samples, frame size is {spec.frame_size}"
                 )
     bands = []
     for b in range(2**level):
         # called within this iteration, so the closure sees this band's b
         w_speech, w_noise = _train_pair(
             clean_sets, noise_sets,
-            lambda s: frame_signal(square_elementwise(s.subbands[b]), spec),
+            lambda s: frame_signal(square_elementwise(s[b]), spec),
             speech_params, noise_params,
         )
-        sigma = rms(np.concatenate([s.subbands[b] for s in clean_sets]))
+        sigma = rms(np.concatenate([s[b] for s in clean_sets]))
         bands.append(BandModel(w_speech, w_noise, sigma))
     return SubbandBasisModel(level, filters.name, spec, bands, rate)
 
@@ -153,36 +153,38 @@ def subband_gain(
 
 @_reject_overflow
 def enhance_subbands(
-    s: SubbandSet,
+    bands: np.ndarray,
     model: SubbandBasisModel,
     params: NmfParams | None = None,
     normalize: bool = True,
-) -> SubbandSet:
-    """Apply per-band gain and power normalization to a decomposition.
+) -> np.ndarray:
+    """Apply per-band gain and power normalization to a `dwpt` band matrix.
 
-    When a band's clean-training rms is zero the band is silenced rather
-    than scaled.  Every band must hold at least one frame of the model's
-    frame size.
+    Returns a new matrix of the same shape.  When a band's clean-training
+    rms is zero the band is silenced rather than scaled.  Only the shape
+    is checked: one row per model band, each holding at least one frame
+    of the model's frame size.
     """
-    if len(s.subbands) != model.n_bands:
+    bands = np.asarray(bands, dtype=np.float64)
+    if bands.ndim != 2 or len(bands) != model.n_bands:
         raise ValueError(
-            f"decomposition has {len(s.subbands)} bands, model expects {model.n_bands}"
+            f"decomposition has shape {bands.shape}, the model expects "
+            f"{model.n_bands} bands, one per row"
         )
-    if s.band_length < model.frame_spec.frame_size:
+    if bands.shape[1] < model.frame_spec.frame_size:
         raise ValueError(
-            f"subbands too short: {s.band_length} samples each, the model's "
+            f"subbands too short: {bands.shape[1]} samples each, the model's "
             f"frame size is {model.frame_spec.frame_size}"
         )
-    out = []
-    for band, bm in zip(s.subbands, model.per_band):
-        shat = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
+    out = np.empty_like(bands)
+    for band, bm, shat in zip(bands, model.per_band, out):
+        shat[:] = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
         if normalize:
             if bm.sigma_clean == 0.0:
-                shat = np.zeros_like(shat)
+                shat[:] = 0.0
             else:
-                shat = shat * (bm.sigma_clean / max(rms(shat), EPSILON))
-        out.append(shat)
-    return SubbandSet(level=s.level, subbands=out, original_length=s.original_length)
+                shat *= bm.sigma_clean / max(rms(shat), EPSILON)
+    return out
 
 
 @_reject_overflow
@@ -209,6 +211,5 @@ def enhance_dwpt(
             f"input too short: {len(noisy)} samples, the model needs at least "
             f"{shortest} so that each of its {model.n_bands} subbands holds one frame"
         )
-    s = dwpt(noisy, model.level, filters)
-    enhanced = enhance_subbands(s, model, params, normalize=normalize)
-    return Signal(idwpt(enhanced, filters), noisy.sample_rate)
+    enhanced = enhance_subbands(dwpt(noisy, model.level, filters), model, params, normalize)
+    return Signal(idwpt(enhanced, filters, len(noisy)), noisy.sample_rate)

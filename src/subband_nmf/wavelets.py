@@ -6,6 +6,11 @@ subband signals, each downsampled by 2^J.  With circular extension the
 synthesis bank is the exact transpose of the analysis bank, so the
 round trip reconstructs the input to machine precision for any even
 length at every split.
+
+The subbands travel as one plain float64 matrix: `dwpt` returns the
+(2^J, band length) matrix with one band per row in natural tree order,
+and `idwpt(bands, filters, length)` merges its rows and keeps the first
+`length` samples.
 """
 
 from __future__ import annotations
@@ -81,46 +86,12 @@ def get_filters(name: str) -> WaveletFilters:
     return WaveletFilters(name=name, analysis_low=low, analysis_high=high)
 
 
-@dataclass
-class SubbandSet:
-    """The 2^level downsampled subband signals of one full-band signal."""
-
-    level: int
-    subbands: list
-    original_length: int
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if len(self.subbands) != 2**self.level:
-            raise ValueError(
-                f"expected {2**self.level} subbands, got {len(self.subbands)}"
-            )
-        lengths = {len(b) for b in self.subbands}
-        if len(lengths) != 1:
-            raise ValueError("subbands must share one length")
-        if self.original_length < 1:
-            raise ValueError("original_length must be positive")
-
-    @property
-    def band_length(self) -> int:
-        return len(self.subbands[0])
-
-
-def _circular_extend(x: np.ndarray, extra: int) -> np.ndarray:
-    if extra <= 0:
-        return x
-    if extra <= len(x):
-        return np.concatenate([x, x[:extra]])
-    return np.concatenate([x, np.resize(x, extra)])
-
-
 def analysis_split(x: np.ndarray, filters: WaveletFilters):
     """One circular-convolution analysis step: (low, high), each half length."""
     x = np.asarray(x, dtype=np.float64)
     if len(x) % 2 != 0:
         raise ValueError("length must be even at every level")
-    ext = _circular_extend(x, filters.taps - 1)
+    ext = np.concatenate([x, np.resize(x, filters.taps - 1)])
     windows = np.lib.stride_tricks.sliding_window_view(ext, filters.taps)[::2]
     return windows @ filters.analysis_low, windows @ filters.analysis_high
 
@@ -152,11 +123,11 @@ def synthesis_merge(
     return out
 
 
-def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> SubbandSet:
-    """Full packet decomposition into 2^level subbands, natural tree order.
+def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
+    """Full packet decomposition: a (2^level, band length) matrix, one band per row.
 
-    The input is zero-padded to the next multiple of 2^level; the
-    pre-padding length is recorded so the inverse can strip it.
+    The rows are in natural tree order.  The input is zero-padded to the
+    next multiple of 2^level; `idwpt` takes the unpadded length back.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -165,7 +136,9 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> SubbandSet:
         raise ValueError("cannot transform an empty signal")
     block = 1 << level
     padded_len = ((orig + block - 1) // block) * block
-    if padded_len // (1 << (level - 1)) < filters.taps:
+    # the padded length alone never stops a 2-tap filter, so every band
+    # must also keep at least one sample of the signal
+    if orig < block or padded_len // (1 << (level - 1)) < filters.taps:
         raise ValueError(
             f"level {level} too deep: a length-{orig} signal leaves less than "
             f"one {filters.taps}-tap filter span at the final split"
@@ -179,22 +152,27 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> SubbandSet:
             split.append(lo)
             split.append(hi)
         bands = split
-    return SubbandSet(level=level, subbands=bands, original_length=orig)
+    return np.array(bands)
 
 
-def idwpt(s: SubbandSet, filters: WaveletFilters) -> np.ndarray:
-    """Merge a SubbandSet back up the tree and strip the padding.
+def idwpt(bands: np.ndarray, filters: WaveletFilters, length: int) -> np.ndarray:
+    """Merge the rows of a `dwpt` matrix back up the tree; keep `length` samples.
 
-    The band count (2^level) and the shared band length are the
-    invariants `SubbandSet` checks when it is built.
+    Only the shape is checked: 2-D with a power-of-two row count of at
+    least 2, and 1 <= length <= bands.size.
     """
-    bands = [np.asarray(b, dtype=np.float64) for b in s.subbands]
-    while len(bands) > 1:
-        bands = [
-            synthesis_merge(bands[i], bands[i + 1], filters)
-            for i in range(0, len(bands), 2)
+    bands = np.asarray(bands, dtype=np.float64)
+    if bands.ndim != 2:
+        raise ValueError(f"bands must be a 2-D matrix, got {bands.ndim} dimensions")
+    rows = bands.shape[0]
+    if rows < 2 or rows & (rows - 1):
+        raise ValueError(f"band count must be a power of two >= 2, got {rows}")
+    if not 1 <= length <= bands.size:
+        raise ValueError(f"length must be in [1, {bands.size}], got {length}")
+    merged = list(bands)
+    while len(merged) > 1:
+        merged = [
+            synthesis_merge(merged[i], merged[i + 1], filters)
+            for i in range(0, len(merged), 2)
         ]
-    full = bands[0]
-    if s.original_length > len(full):
-        raise ValueError("original_length exceeds reconstructed length")
-    return full[: s.original_length]
+    return merged[0][:length]

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage on tiny synthetic WAV fixtures."""
 
 import csv
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ def test_batch_enhance_and_jobs_agree(corpus):
         a = (serial / f"n{k}.wav").read_bytes()
         b = (parallel / f"n{k}.wav").read_bytes()
         assert a == b and len(a) > 44
+
+
+def test_enhance_starts_no_more_workers_than_files(corpus, monkeypatch):
+    # the pool starts all its workers at the first submit; this fake runs
+    # the tasks inline and records how many workers were asked for
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    out = corpus / "out"
+    assert run(["enhance", "--model", model, "--in", corpus / "clean.wav",
+                corpus / "noisy.wav", "--out", out, "--iters-encode", "5", "--jobs", "8"]) == 0
+    assert workers == [2]
+    assert sorted(p.name for p in out.iterdir()) == ["clean.wav", "noisy.wav"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

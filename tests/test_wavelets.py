@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subband_nmf import FILTER_NAMES, Signal, SubbandSet, dwpt, get_filters, idwpt
+from subband_nmf import FILTER_NAMES, Signal, dwpt, get_filters, idwpt
 from subband_nmf.wavelets import analysis_split, synthesis_merge
 
 from conftest import make_signal
@@ -121,10 +121,10 @@ def test_odd_length_split_rejected():
 
 def test_dwpt_band_bookkeeping():
     s = dwpt(make_signal(1024), 3, get_filters("db8"))
-    assert s.level == 3 and len(s.subbands) == 8 and s.band_length == 128
+    assert s.shape == (8, 128) and s.dtype == np.float64
     # 1000 = 8 * 125: no padding needed
     s = dwpt(make_signal(1000), 3, get_filters("db8"))
-    assert s.band_length == 125 and s.original_length == 1000
+    assert s.shape == (8, 125)
 
 
 def test_dwpt_level_one_matches_single_split():
@@ -132,20 +132,31 @@ def test_dwpt_level_one_matches_single_split():
     f = get_filters("db4")
     s = dwpt(x, 1, f)
     lo, hi = analysis_split(x.samples, f)
-    np.testing.assert_array_equal(s.subbands[0], lo)
-    np.testing.assert_array_equal(s.subbands[1], hi)
+    np.testing.assert_array_equal(s[0], lo)
+    np.testing.assert_array_equal(s[1], hi)
 
 
 def test_haar_level_one_tiny_round_trip():
     f = get_filters("haar")
     x = Signal(np.array([1.0, 2.0, 3.0, 4.0]), 8000)
-    out = idwpt(dwpt(x, 1, f), f)
+    out = idwpt(dwpt(x, 1, f), f, 4)
     np.testing.assert_allclose(out, x.samples, atol=1e-12)
 
 
 def test_idwpt_zero_bands():
-    s = SubbandSet(level=2, subbands=[np.zeros(8)] * 4, original_length=32)
-    np.testing.assert_array_equal(idwpt(s, get_filters("db4")), np.zeros(32))
+    np.testing.assert_array_equal(idwpt(np.zeros((4, 8)), get_filters("db4"), 32), np.zeros(32))
+
+
+def test_idwpt_rejects_bad_shapes():
+    f = get_filters("db4")
+    with pytest.raises(ValueError, match="power of two"):
+        idwpt(np.zeros((3, 8)), f, 24)
+    with pytest.raises(ValueError, match="2-D"):
+        idwpt(np.zeros(32), f, 32)
+    for length in (0, 33):
+        with pytest.raises(ValueError, match="length"):
+            idwpt(np.zeros((4, 8)), f, length)
+    assert len(idwpt(np.zeros((4, 8)), f, 1)) == 1
 
 
 def test_dwpt_too_deep_rejected():
@@ -153,10 +164,20 @@ def test_dwpt_too_deep_rejected():
         dwpt(make_signal(16), 3, get_filters("db8"))
 
 
+def test_haar_too_deep_rejected():
+    # padding to a multiple of 2^level always leaves a 2-tap span, so the
+    # signal itself must reach every band
+    with pytest.raises(ValueError, match="too deep"):
+        dwpt(Signal(np.ones(100), 8000), 16, get_filters("haar"))
+    with pytest.raises(ValueError, match="too deep"):
+        dwpt(make_signal(7), 3, get_filters("haar"))
+    assert dwpt(make_signal(8), 3, get_filters("haar")).shape == (8, 1)
+
+
 def test_dc_lands_in_first_band():
     # natural ordering: the all-low path is subband 0
     s = dwpt(Signal(np.full(256, 0.5), 8000), 3, get_filters("db8"))
-    energies = [float(np.sum(b * b)) for b in s.subbands]
+    energies = [float(np.sum(b * b)) for b in s]
     assert energies[0] > 0.99 * sum(energies)
 
 
@@ -170,7 +191,7 @@ def test_dc_lands_in_first_band():
 def test_perfect_reconstruction_property(name, level, n, seed):
     f = get_filters(name)
     x = make_signal(n, seed=seed)
-    out = idwpt(dwpt(x, level, f), f)
+    out = idwpt(dwpt(x, level, f), f, n)
     assert len(out) == n
     assert np.max(np.abs(out - x.samples)) < 1e-10
 
@@ -183,5 +204,5 @@ def test_packet_energy_conservation_property(name, level, seed):
     n = 512
     x = make_signal(n, seed=seed)
     s = dwpt(x, level, f)
-    total = sum(float(np.sum(b * b)) for b in s.subbands)
+    total = sum(float(np.sum(b * b)) for b in s)
     assert abs(total - float(np.sum(x.samples**2))) < 1e-9
