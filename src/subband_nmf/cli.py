@@ -4,14 +4,14 @@ Subcommands: train, enhance, mix, eval, roundtrip.  Flags can also come
 from a settings file named as `@file`: its tokens stand in its place on
 the command line, so a flag after it overrides the file, and each value
 passes the same type and choice checks as a flag.  In the file, `#`
-starts a comment.  The seed falls back to the SUBBAND_NMF_SEED
-environment variable before the built-in default, so whole experiment
-scripts can be re-seeded without touching every call.
+starts a comment.  `--seed` defaults to defaults.DEFAULT_SEED, so a
+run is set by its command line alone; an `@file` holding `--seed N`
+re-seeds every call that names it.  A directory given to `enhance --in`
+always makes a batch: each output goes to `<out>/<name>`.
 """
 
 import argparse
 import csv
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -36,17 +36,6 @@ METHOD_FRAMES = {
     "stft-nmf": (defaults.STFT_FRAME_SIZE, defaults.STFT_FRAME_SHIFT),
     "dwpt-nmf": (defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT),
 }
-
-
-def _default_seed() -> int:
-    """The seed used when none is given: $SUBBAND_NMF_SEED if set, else DEFAULT_SEED."""
-    raw = os.environ.get(defaults.SEED_ENV_VAR)
-    if raw is None:
-        return defaults.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{defaults.SEED_ENV_VAR} must be an integer, got '{raw}'")
 
 
 def _expand_audio(paths) -> list:
@@ -74,9 +63,8 @@ def cmd_train(args) -> int:
     size, shift = METHOD_FRAMES[args.method]
     spec = FrameSpec(size if args.frame_size is None else args.frame_size,
                      shift if args.frame_shift is None else args.frame_shift)
-    seed = _default_seed() if args.seed is None else args.seed
-    speech_params = NmfParams(args.speech_rank, args.iters_train, seed)
-    noise_params = NmfParams(args.noise_rank, args.iters_train, seed)
+    speech_params = NmfParams(args.speech_rank, args.iters_train, args.seed)
+    noise_params = NmfParams(args.noise_rank, args.iters_train, args.seed)
     clean = [read_wav(p)[0] for p in _expand_audio(args.clean)]
     noise = [read_wav(p)[0] for p in _expand_audio(args.noise)]
     if args.method == "stft-nmf":
@@ -113,9 +101,8 @@ def _enhance_one(task):
 def cmd_enhance(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    seed = _default_seed() if args.seed is None else args.seed
     # encode takes the rank from the model's dictionaries, not from params
-    params = NmfParams(rank=1, max_iters=args.iters_encode, seed=seed)
+    params = NmfParams(rank=1, max_iters=args.iters_encode, seed=args.seed)
     model = load_model(args.model)
     if isinstance(model, StftBasisModel):
         enhance = partial(enhance_stft, model=model, params=params)
@@ -124,7 +111,8 @@ def cmd_enhance(args) -> int:
                           params=params, normalize=args.normalize)
     inputs = _expand_audio(args.in_paths)
     out = Path(args.out)
-    batch = len(inputs) > 1 or out.is_dir()
+    # a directory input makes a batch even when it holds one file
+    batch = len(inputs) > 1 or out.is_dir() or any(Path(p).is_dir() for p in args.in_paths)
     tasks = [(p, out / p.name) for p in inputs] if batch else [(inputs[0], out)]
     # one output per input, and no output over an input: a second input of the
     # same name would replace the first output, and an output at an input's
@@ -137,7 +125,7 @@ def cmd_enhance(args) -> int:
         if dst in writers:
             raise ValueError(f"{writers[dst]} and {src} would both be written to {dst}")
         writers[dst] = src
-    if len(inputs) > 1:
+    if batch:
         out.mkdir(parents=True, exist_ok=True)
     parallel = args.jobs > 1 and len(tasks) > 1
     if parallel:
@@ -166,7 +154,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    spec = MixSpec(args.snr, _default_seed() if args.seed is None else args.seed)
+    spec = MixSpec(args.snr, args.seed)
     clean, _ = read_wav(args.clean)
     noise, _ = read_wav(args.noise)
     write_wav(args.out, mix_at_snr(clean, noise, spec))
@@ -235,9 +223,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_seed(p: argparse.ArgumentParser, what: str):
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"{what} seed (default ${defaults.SEED_ENV_VAR}, "
-                        f"else {defaults.DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=defaults.DEFAULT_SEED,
+                   help=f"{what} seed (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

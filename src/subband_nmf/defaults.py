@@ -20,4 +20,3 @@ ENCODE_ITERS = 50
 EPSILON = 1e-12
 
 DEFAULT_SEED = 0
-SEED_ENV_VAR = "SUBBAND_NMF_SEED"

@@ -7,6 +7,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_sample_rate(rate) -> int:
+    """Return rate as an int; ValueError unless it is a positive whole number (8000.0 is)."""
+    try:
+        if int(rate) == rate and rate > 0:
+            return int(rate)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"sample_rate must be a positive whole number, got {rate}")
+
+
 @dataclass
 class Signal:
     """Mono time-domain signal with its sample rate in Hz."""
@@ -20,8 +30,7 @@ class Signal:
             raise ValueError("signal samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal samples must be finite")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        self.sample_rate = _check_sample_rate(self.sample_rate)
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -40,7 +40,7 @@ def save_model(model, path) -> None:
     header = {
         "format_version": FORMAT_VERSION,
         "model_kind": kind,
-        "sample_rate": int(model.sample_rate),
+        "sample_rate": model.sample_rate,
         "frame_size": model.frame_spec.frame_size,
         "frame_shift": model.frame_spec.frame_shift,
         **extra,

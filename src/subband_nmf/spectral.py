@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
-from .framing import FrameSpec, Signal, _overlap_sum, check_nonneg_matrix, frame_signal
+from .framing import (
+    FrameSpec, Signal, _check_sample_rate, _overlap_sum, check_nonneg_matrix, frame_signal
+)
 from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
 
 __all__ = [
@@ -128,8 +130,7 @@ class StftBasisModel:
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        self.sample_rate = _check_sample_rate(self.sample_rate)
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
 
@@ -204,6 +205,7 @@ def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
     return np.clip(gain, 0.0, 1.0, out=gain)
 
 
+@_reject_overflow
 def separation_gain(
     v: np.ndarray, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None = None
 ) -> np.ndarray:
@@ -211,22 +213,16 @@ def separation_gain(
 
     v is encoded against the stacked dictionary [w_s w_n] (by default
     with ENCODE_ITERS sweeps), the encoding is split into the two class
-    reconstructions, and `wiener_gain` of those is returned.  A gain
-    that is not finite (the encoding overflowed) is rejected.
+    reconstructions, and `wiener_gain` of those is returned.  An overflow
+    anywhere on the way raises "input level too high"; without one the
+    gain is finite, since every denominator is floored at EPSILON.
     """
     w_stack = np.hstack([w_s, w_n])
     if params is None:
         params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
     h = encode(v, w_stack, params)
     speech_part, noise_part = split_reconstruction(w_s, w_n, h)
-    gain = wiener_gain(speech_part, noise_part)
-    # clipped to [0, 1], so the sum is finite unless some entry is NaN
-    if not np.isfinite(np.sum(gain)):
-        raise ValueError(
-            "gain values must be finite: encoding the feature matrix overflowed "
-            "float64, so the input level is too high for this model"
-        )
-    return gain
+    return wiener_gain(speech_part, noise_part)
 
 
 @_reject_overflow

@@ -18,6 +18,7 @@ from .defaults import EPSILON
 from .framing import (
     FrameSpec,
     Signal,
+    _check_sample_rate,
     frame_count,
     frame_signal,
     overlap_add,
@@ -66,8 +67,7 @@ class SubbandBasisModel:
     sample_rate: int
 
     def __post_init__(self):
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        self.sample_rate = _check_sample_rate(self.sample_rate)
         if self.level < 1:
             raise ValueError("level must be >= 1")
         _check_filter_name(self.filter_name)
@@ -148,7 +148,9 @@ def subband_gain(
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):
         g[covered:] = g[covered - 1]
-    return np.clip(g, 0.0, 1.0, out=g)
+    # an average of square roots of gains in [0, 1] stays in [0, 1]: rounding
+    # is monotone, so a sum of k such terms is at most k
+    return g
 
 
 @_reject_overflow
@@ -160,8 +162,9 @@ def enhance_subbands(
 ) -> np.ndarray:
     """Apply per-band gain and power normalization to a `dwpt` band matrix.
 
-    Returns a new matrix of the same shape.  When a band's clean-training
-    rms is zero the band is silenced rather than scaled.  Only the shape
+    Returns a new matrix of the same shape.  Normalization scales each
+    enhanced band to its clean-training rms, so a band whose rms is zero
+    comes out silent.  Only the shape
     is checked: one row per model band, each holding at least one frame
     of the model's frame size.
     """
@@ -180,10 +183,7 @@ def enhance_subbands(
     for band, bm, shat in zip(bands, model.per_band, out):
         shat[:] = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
         if normalize:
-            if bm.sigma_clean == 0.0:
-                shat[:] = 0.0
-            else:
-                shat *= bm.sigma_clean / max(rms(shat), EPSILON)
+            shat *= bm.sigma_clean / max(rms(shat), EPSILON)
     return out
 
 

@@ -66,5 +66,5 @@ def write_wav(path, signal: Signal) -> None:
     with open(path, "wb") as f, wave.open(f, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(int(signal.sample_rate))
+        wf.setframerate(signal.sample_rate)
         wf.writeframes(q.tobytes())

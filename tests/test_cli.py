@@ -107,6 +107,25 @@ def test_batch_enhance_and_jobs_agree(corpus):
         assert a == b and len(a) > 44
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_enhance_one_file_directory_is_a_batch(corpus, capsys, jobs):
+    # a directory --in writes <out>/<name> even when it holds a single file
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    one = corpus / "one"
+    one.mkdir()
+    write_wav(one / "x.wav", read_wav(corpus / "noisy.wav")[0])
+    out = corpus / "outdir"
+    capsys.readouterr()
+    assert run(["enhance", "--model", model, "--in", one, "--out", out,
+                "--iters-encode", "5", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'x.wav'}\n"
+    assert out.is_dir()
+    assert [p.name for p in out.iterdir()] == ["x.wav"]
+    assert read_wav(out / "x.wav")[0].sample_rate == RATE
+
+
 def test_enhance_starts_no_more_workers_than_files(corpus, monkeypatch):
     # the pool starts all its workers at the first submit; this fake runs
     # the tasks inline and records how many workers were asked for
@@ -490,17 +509,16 @@ def test_config_file_and_flag_precedence(corpus, tmp_path):
 
 @pytest.mark.parametrize("method", ["stft-nmf", "dwpt-nmf"])
 def test_train_and_enhance_defaults(corpus, monkeypatch, method):
-    monkeypatch.delenv("SUBBAND_NMF_SEED", raising=False)
     args = build_parser().parse_args(["enhance", "--model", "m", "--in", "x", "--out", "y"])
     assert (args.jobs, args.iters_encode, args.normalize, args.seed) == (
-        1, defaults.ENCODE_ITERS, True, None)
+        1, defaults.ENCODE_ITERS, True, defaults.DEFAULT_SEED)
     argv = ["train", "--clean", str(corpus / "clean.wav"), "--noise", str(corpus / "noise.wav"),
             "--out", str(corpus / "m.snm")]
     args = build_parser().parse_args(argv)
     assert (args.method, args.level, args.filter_name, args.speech_rank, args.noise_rank,
             args.iters_train, args.seed) == (
         "dwpt-nmf", defaults.DWPT_LEVEL, defaults.DEFAULT_FILTER, defaults.SPEECH_RANK,
-        defaults.NOISE_RANK, defaults.TRAIN_ITERS, None)
+        defaults.NOISE_RANK, defaults.TRAIN_ITERS, defaults.DEFAULT_SEED)
     # the frame geometry follows the method; stop at the trainer
     seen = {}
 
@@ -524,16 +542,18 @@ def test_train_and_enhance_defaults(corpus, monkeypatch, method):
                                       defaults.DEFAULT_SEED)
 
 
-def test_env_seed_fallback(corpus, monkeypatch):
+def test_seed_environment_variable_is_ignored(corpus, monkeypatch):
+    # a run is set by its command line alone: the seed comes from --seed or
+    # its default, never from the environment
     base = ["train", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
             "--method", "stft-nmf", "--frame-size", "64", "--frame-shift", "16",
             "--speech-rank", "2", "--noise-rank", "3", "--iters-train", "25"]
     a = corpus / "env.snm"
-    b = corpus / "flag.snm"
+    b = corpus / "plain.snm"
     monkeypatch.setenv("SUBBAND_NMF_SEED", "123")
-    run([*base, "--out", a])
+    assert run([*base, "--out", a]) == 0
     monkeypatch.delenv("SUBBAND_NMF_SEED")
-    run([*base, "--out", b, "--seed", "123"])
+    assert run([*base, "--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -9,6 +9,7 @@ from subband_nmf import (
     BandModel,
     FrameSpec,
     NmfParams,
+    Signal,
     StftBasisModel,
     SubbandBasisModel,
     get_filters,
@@ -213,8 +214,52 @@ def test_non_positive_sample_rate_rejected(tmp_path, trained, rate):
     save_model(trained_stft(tmp_path) if trained == "stft" else trained_dwpt(), p)
     raw = p.read_bytes()
     p.write_bytes(raw.replace(b"sample_rate: 8000\n", b"sample_rate: " + rate + b"\n", 1))
-    with pytest.raises(ValueError, match=f"sample_rate must be positive, got {rate.decode()}"):
+    with pytest.raises(
+        ValueError, match=f"sample_rate must be a positive whole number, got {rate.decode()}"
+    ):
         load_model(p)
+
+
+def _with_rate(model, rate):
+    """A copy of a trained stft or dwpt model that claims another sample rate."""
+    if isinstance(model, StftBasisModel):
+        return StftBasisModel(model.w_speech, model.w_noise, model.frame_spec, rate)
+    return SubbandBasisModel(
+        model.level, model.filter_name, model.frame_spec, model.per_band, rate
+    )
+
+
+@pytest.mark.parametrize("rate", [8000.5, np.float64(7999.9), np.inf, np.nan, "8000"])
+def test_fractional_sample_rate_rejected(tmp_path, rate):
+    # a rate that is not a whole number of Hz is refused, not truncated
+    builds = [
+        lambda: Signal(np.zeros(8), rate),
+        lambda: _with_rate(trained_stft(tmp_path), rate),
+        lambda: _with_rate(trained_dwpt(), rate),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="sample_rate must be a positive whole number"):
+            build()
+
+
+def test_whole_float_sample_rate_stored_as_int(tmp_path):
+    stored = [
+        Signal(np.zeros(8), 8000.0).sample_rate,
+        _with_rate(trained_stft(tmp_path), 8000.0).sample_rate,
+        _with_rate(trained_dwpt(), np.float64(8000.0)).sample_rate,
+    ]
+    assert stored == [8000, 8000, 8000]
+    assert all(type(rate) is int for rate in stored)
+
+
+@pytest.mark.parametrize("trained", ["stft", "dwpt"])
+def test_numpy_int_sample_rate_saves_same_bytes(tmp_path, trained):
+    model = trained_stft(tmp_path) if trained == "stft" else trained_dwpt()
+    plain, numpy_rate = tmp_path / "int.snm", tmp_path / "np.snm"
+    save_model(_with_rate(model, 8000), plain)
+    save_model(_with_rate(model, np.int64(8000)), numpy_rate)
+    assert b"sample_rate: 8000\n" in plain.read_bytes()
+    assert numpy_rate.read_bytes() == plain.read_bytes()
 
 
 def test_unknown_filter_name_rejected(tmp_path):

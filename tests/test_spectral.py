@@ -1,5 +1,7 @@
 """STFT analysis/synthesis and the full-band enhancement baseline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,11 +323,13 @@ def test_enhance_rate_mismatch_rejected():
 
 
 def test_separation_gain_rejects_overflowed_reconstruction():
-    # W^T V overflows, so every activation becomes inf and both class
-    # reconstructions overflow: inf / inf is nan
+    # W^T V overflows; the overflow raises at once, whatever the caller's
+    # error state, as one ValueError about the input level and no warning
     w = np.full((4, 4), 1e150)
     params = NmfParams(rank=8, max_iters=1)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-        ValueError, match="gain values must be finite"
-    ):
-        separation_gain(np.full((4, 3), 1e300), w, w, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^input level too high"
+        ):
+            separation_gain(np.full((4, 3), 1e300), w, w, params)

@@ -18,6 +18,7 @@ from subband_nmf import (
     enhance_subbands,
     get_filters,
     mix_at_snr,
+    separation_gain,
     ssnr,
     subband_gain,
     synth_white_noise,
@@ -310,6 +311,11 @@ def test_overflowing_input_raises_one_value_error():
         noisy = Signal(x * 10.0**exponent, 8000)
         clean = Signal(tone * 10.0**exponent, 8000)
         bands = dwpt(noisy, 2, FILT)
+        # band 0's squared frames, saturated at the largest float64 where
+        # squaring overflows, so that separation_gain gets finite features
+        with np.errstate(over="ignore"):
+            features = np.minimum(frame_signal(np.square(bands[0]), frame),
+                                  np.finfo(np.float64).max)
         calls = {
             "enhance_dwpt": lambda: enhance_dwpt(
                 noisy, dwpt_model, FILT, small_params(1, 10)).samples,
@@ -317,6 +323,8 @@ def test_overflowing_input_raises_one_value_error():
             "enhance_subbands": lambda: enhance_subbands(bands, dwpt_model, small_params(1, 10)),
             "subband_gain": lambda: subband_gain(
                 bands[0], band.w_speech, band.w_noise, frame, small_params(1, 10)),
+            "separation_gain": lambda: separation_gain(
+                features, band.w_speech, band.w_noise, small_params(1, 10)),
             "train_dwpt": lambda: train_dwpt_model([clean], [noisy], 2, FILT, frame, **train_kw),
             "train_stft": lambda: train_stft_model([clean], [noisy], frame, **train_kw),
         }
