@@ -15,6 +15,7 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import defaults
 from .framing import FrameSpec
-from .metrics import evaluate
+from .metrics import MetricReport, evaluate
 from .mixing import MixSpec, mix_at_snr
 from .model_io import load_model, save_model
 from .nmf import NmfParams
@@ -186,10 +187,9 @@ def cmd_eval(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["file", "mse", "ssnr_db", "sdi"])
+            w.writerow(["file"] + [field.name for field in fields(MetricReport)])
             for name, report in rows:
-                w.writerow([name, f"{report.mse:.12g}", f"{report.ssnr_db:.12g}",
-                            f"{report.sdi:.12g}"])
+                w.writerow([name] + [f"{v:.12g}" for v in report.as_dict().values()])
         print(f"wrote {args.csv}")
     for t in unmatched:
         print(f"error: {t}: no reference named {t.name}", file=sys.stderr)

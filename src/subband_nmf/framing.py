@@ -7,14 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_sample_rate(rate) -> int:
-    """Return rate as an int; ValueError unless it is a positive whole number (8000.0 is)."""
+def _whole(value, name: str, lowest: int = 1) -> int:
+    """Return value as an int; ValueError naming it unless it is whole (256.0 is) and >= lowest."""
     try:
-        if int(rate) == rate and rate > 0:
-            return int(rate)
+        if int(value) == value and value >= lowest:
+            return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"sample_rate must be a positive whole number, got {rate}")
+    kind = "positive" if lowest == 1 else "nonnegative"
+    raise ValueError(f"{name} must be a {kind} whole number, got {value}")
 
 
 @dataclass
@@ -30,7 +31,7 @@ class Signal:
             raise ValueError("signal samples must be one-dimensional")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal samples must be finite")
-        self.sample_rate = _check_sample_rate(self.sample_rate)
+        self.sample_rate = _whole(self.sample_rate, "sample_rate")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -48,9 +49,9 @@ class FrameSpec:
     frame_shift: int
 
     def __post_init__(self):
-        if self.frame_size < 1:
-            raise ValueError("frame_size must be positive")
-        if not 1 <= self.frame_shift <= self.frame_size:
+        for name in ("frame_size", "frame_shift"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        if self.frame_shift > self.frame_size:
             raise ValueError("frame_shift must be in [1, frame_size]")
 
 

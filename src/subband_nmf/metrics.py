@@ -1,6 +1,6 @@
 """Objective quality metrics: MSE, segmental SNR, distortion index."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,22 +45,17 @@ def ssnr(reference: Signal, test: Signal) -> float:
     seg_len = int(round(reference.sample_rate * SSNR_SEG_MS / 1000.0))
     if seg_len < 1:
         raise ValueError("segment length must be at least one sample")
-    lo, hi = SSNR_CLAMP_DB
-    vals = []
-    for start in range(0, len(ref) - seg_len + 1, seg_len):
-        r = ref[start : start + seg_len]
-        t = tst[start : start + seg_len]
-        e_ref = float(np.sum(r * r))
-        if e_ref <= _SILENCE_ENERGY:
-            continue
-        e_err = float(np.sum((r - t) ** 2))
-        if e_err == 0.0:
-            vals.append(hi)
-            continue
-        vals.append(float(np.clip(10.0 * np.log10(e_ref / e_err), lo, hi)))
-    if not vals:
+    n = len(ref) // seg_len * seg_len
+    r, t = ref[:n].reshape(-1, seg_len), tst[:n].reshape(-1, seg_len)
+    e_ref = np.sum(r * r, axis=1)
+    e_err = np.sum((r - t) ** 2, axis=1)
+    active = e_ref > _SILENCE_ENERGY
+    if not active.any():
         raise ValueError("no non-silent segments to evaluate")
-    return float(np.mean(vals))
+    # an exact segment divides by zero and clamps to the upper bound
+    with np.errstate(divide="ignore", over="ignore"):
+        seg_snr = 10.0 * np.log10(e_ref[active] / e_err[active])
+    return float(np.mean(np.clip(seg_snr, *SSNR_CLAMP_DB)))
 
 
 def sdi(reference: Signal, test: Signal) -> float:
@@ -83,7 +78,7 @@ class MetricReport:
     sdi: float
 
     def as_dict(self) -> dict:
-        return {"mse": self.mse, "ssnr_db": self.ssnr_db, "sdi": self.sdi}
+        return asdict(self)
 
 
 def evaluate(reference: Signal, test: Signal) -> MetricReport:

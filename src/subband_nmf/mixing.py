@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import Signal
+from .framing import Signal, _whole
 
 __all__ = [
     "MixSpec",
@@ -31,8 +31,7 @@ class MixSpec:
     def __post_init__(self):
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
 
 
 def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:

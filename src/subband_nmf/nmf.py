@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defaults import DEFAULT_SEED, EPSILON, TRAIN_ITERS
-from .framing import check_nonneg_matrix
+from .framing import _whole, check_nonneg_matrix
 
 __all__ = [
     "NmfParams",
@@ -45,12 +45,8 @@ class NmfParams:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, lowest in (("rank", 1), ("max_iters", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, lowest))
 
 
 @dataclass

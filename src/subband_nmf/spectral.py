@@ -20,7 +20,7 @@ import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
-    FrameSpec, Signal, _check_sample_rate, _overlap_sum, check_nonneg_matrix, frame_signal
+    FrameSpec, Signal, _overlap_sum, _whole, check_nonneg_matrix, frame_signal
 )
 from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
 
@@ -130,7 +130,7 @@ class StftBasisModel:
     def __post_init__(self):
         self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
         self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
-        self.sample_rate = _check_sample_rate(self.sample_rate)
+        self.sample_rate = _whole(self.sample_rate, "sample_rate")
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
 

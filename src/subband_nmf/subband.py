@@ -18,7 +18,7 @@ from .defaults import EPSILON
 from .framing import (
     FrameSpec,
     Signal,
-    _check_sample_rate,
+    _whole,
     frame_count,
     frame_signal,
     overlap_add,
@@ -67,14 +67,13 @@ class SubbandBasisModel:
     sample_rate: int
 
     def __post_init__(self):
-        self.sample_rate = _check_sample_rate(self.sample_rate)
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
+        self.sample_rate = _whole(self.sample_rate, "sample_rate")
+        self.level = _whole(self.level, "level")
         _check_filter_name(self.filter_name)
-        if len(self.per_band) != 2**self.level:
-            raise ValueError(
-                f"expected {2**self.level} band models, got {len(self.per_band)}"
-            )
+        n = len(self.per_band)
+        # the bit length test keeps a huge level from forming 2**level
+        if self.level >= n.bit_length() or n != 2**self.level:
+            raise ValueError(f"level {self.level} needs 2**{self.level} band models, got {n}")
         for b, band in enumerate(self.per_band):
             _check_dictionaries(
                 band.w_speech, band.w_noise, self.frame_spec.frame_size, f"band {b} "
@@ -114,7 +113,7 @@ def train_dwpt_model(
                     f"{s.shape[1]} samples, frame size is {spec.frame_size}"
                 )
     bands = []
-    for b in range(2**level):
+    for b in range(len(clean_sets[0])):
         # called within this iteration, so the closure sees this band's b
         w_speech, w_noise = _train_pair(
             clean_sets, noise_sets,

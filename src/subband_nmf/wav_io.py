@@ -56,6 +56,9 @@ def read_wav(path) -> tuple[Signal, WavInfo]:
 
 def write_wav(path, signal: Signal) -> None:
     """Write a Signal as mono PCM16, clipping to [-1, 1] first."""
+    # the header holds the byte rate, twice the sample rate, in 32 unsigned bits
+    if signal.sample_rate >= 2**31:
+        raise ValueError(f"sample_rate must be below 2**31 for WAV, got {signal.sample_rate}")
     x = np.clip(signal.samples, -1.0, 1.0)
     # symmetric rounding (half away from zero) keeps the quantizer
     # unbiased across positive and negative amplitudes

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import Signal
+from .framing import Signal, _whole
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -52,10 +52,11 @@ FILTER_NAMES = tuple(_SCALING_TAPS)
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Two-channel orthonormal tap pair.
+    """Two-channel orthonormal tap pair, exactly the named family's.
 
-    Synthesis uses the analysis taps: with circular extension the bank is
-    exact only when synthesis is the transpose of analysis.
+    A model file records only the name.  Synthesis uses the analysis taps:
+    with circular extension the bank is exact only when synthesis is the
+    transpose of analysis.
     """
 
     name: str
@@ -63,9 +64,10 @@ class WaveletFilters:
     analysis_high: np.ndarray
 
     def __post_init__(self):
-        taps = len(self.analysis_low)
-        if len(self.analysis_high) != taps or taps % 2 != 0 or taps < 2:
-            raise ValueError("filters must share an even tap count")
+        low, high = _family_taps(self.name)
+        if not (np.array_equal(self.analysis_low, low)
+                and np.array_equal(self.analysis_high, high)):
+            raise ValueError(f"filters named '{self.name}' must carry the {self.name} taps")
 
     @property
     def taps(self) -> int:
@@ -77,13 +79,18 @@ def _check_filter_name(name: str) -> None:
         raise ValueError(f"unknown wavelet filter '{name}' (choose from {FILTER_NAMES})")
 
 
-def get_filters(name: str) -> WaveletFilters:
-    """Look up a shipped orthonormal filter family by name."""
+def _family_taps(name: str):
+    """The (low-pass, high-pass) analysis taps of a shipped family."""
     _check_filter_name(name)
     low = np.array(_SCALING_TAPS[name], dtype=np.float64)
     # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
     high = ((-1.0) ** np.arange(len(low))) * low[::-1]
-    return WaveletFilters(name=name, analysis_low=low, analysis_high=high)
+    return low, high
+
+
+def get_filters(name: str) -> WaveletFilters:
+    """Look up a shipped orthonormal filter family by name."""
+    return WaveletFilters(name, *_family_taps(name))
 
 
 def analysis_split(x: np.ndarray, filters: WaveletFilters):
@@ -129,21 +136,19 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
     The rows are in natural tree order.  The input is zero-padded to the
     next multiple of 2^level; `idwpt` takes the unpadded length back.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    level = _whole(level, "level")
     orig = len(signal)
     if orig < 1:
         raise ValueError("cannot transform an empty signal")
-    block = 1 << level
-    padded_len = ((orig + block - 1) // block) * block
-    # the padded length alone never stops a 2-tap filter, so every band
-    # must also keep at least one sample of the signal
-    if orig < block or padded_len // (1 << (level - 1)) < filters.taps:
+    # every band keeps a sample of the signal (orig >= 2**level, tested on the bit
+    # length so that a huge level never forms its power) and the last split's
+    # 2 * ceil(orig / 2**level) samples span the filter
+    if level >= orig.bit_length() or 2 * -(-orig >> level) < filters.taps:
         raise ValueError(
             f"level {level} too deep: a length-{orig} signal leaves less than "
             f"one {filters.taps}-tap filter span at the final split"
         )
-    x = np.concatenate([signal.samples, np.zeros(padded_len - orig)])
+    x = np.concatenate([signal.samples, np.zeros(-orig % (1 << level))])
     bands = [x]
     for _ in range(level):
         split = []

@@ -406,20 +406,20 @@ def test_roundtrip_rejects_zero_frame(corpus, capsys):
                 "--frame-size", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: frame_size must be positive\n"
+    assert captured.err == "error: frame_size must be a positive whole number, got 0\n"
 
 
 def test_numeric_settings_checked_before_reading_audio(tmp_path, capsys):
     missing = tmp_path / "missing.wav"
     assert run(["train", "--clean", missing, "--noise", missing, "--out", tmp_path / "m.snm",
                 "--speech-rank", "0"]) == 1
-    assert capsys.readouterr().err == "error: rank must be at least 1\n"
+    assert capsys.readouterr().err == "error: rank must be a positive whole number, got 0\n"
     assert run(["train", "--clean", missing, "--noise", missing, "--out", tmp_path / "m.snm",
                 "--frame-size", "8", "--frame-shift", "9"]) == 1
     assert capsys.readouterr().err == "error: frame_shift must be in [1, frame_size]\n"
     assert run(["enhance", "--model", tmp_path / "missing.snm", "--in", missing,
                 "--out", tmp_path / "o.wav", "--seed", "-1"]) == 1
-    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert capsys.readouterr().err == "error: seed must be a nonnegative whole number, got -1\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -452,8 +452,10 @@ def test_config_file_values_are_checked(tmp_path, capsys):
             run(train)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-    for line, message in [("--noise-rank 0", "error: rank must be at least 1\n"),
-                          ("--iters-train 0", "error: max_iters must be at least 1\n")]:
+    for line, message in [("--noise-rank 0",
+                           "error: rank must be a positive whole number, got 0\n"),
+                          ("--iters-train 0",
+                           "error: max_iters must be a positive whole number, got 0\n")]:
         args.write_text(line + "\n")
         assert run(train) == 1
         assert capsys.readouterr().err == message

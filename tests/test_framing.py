@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subband_nmf import FrameSpec, Signal
+from subband_nmf import (
+    BandModel,
+    FrameSpec,
+    MixSpec,
+    NmfParams,
+    Signal,
+    StftBasisModel,
+    SubbandBasisModel,
+    dwpt,
+    get_filters,
+)
 from subband_nmf.framing import (
     check_nonneg_matrix,
     frame_count,
@@ -40,6 +50,48 @@ def test_frame_spec_bounds():
         FrameSpec(256, 257)
     with pytest.raises(ValueError):
         FrameSpec(0, 1)
+
+
+# one constructor per whole-number setting, each taking the setting's value
+WHOLE_SETTINGS = {
+    "Signal.sample_rate": lambda v: Signal(np.zeros(8), v),
+    "StftBasisModel.sample_rate": lambda v: StftBasisModel(
+        np.ones((3, 1)), np.ones((3, 1)), FrameSpec(4, 2), v),
+    "SubbandBasisModel.sample_rate": lambda v: SubbandBasisModel(
+        1, "haar", FrameSpec(4, 2), [BandModel(np.ones((4, 1)), np.ones((4, 1)), 1.0)] * 2, v),
+    "FrameSpec.frame_size": lambda v: FrameSpec(v, 1),
+    "FrameSpec.frame_shift": lambda v: FrameSpec(512, v),
+    "NmfParams.rank": lambda v: NmfParams(v),
+    "NmfParams.max_iters": lambda v: NmfParams(2, v),
+    "NmfParams.seed": lambda v: NmfParams(2, 3, v),
+    "MixSpec.seed": lambda v: MixSpec(0.0, v),
+    "SubbandBasisModel.level": lambda v: SubbandBasisModel(v, "haar", FrameSpec(4, 2), [], 8000),
+    "dwpt.level": lambda v: dwpt(Signal(np.ones(100), 8000), v, get_filters("haar")),
+}
+
+
+@pytest.mark.parametrize("value", [256.5, 2.5, 3.5, 1.5])
+@pytest.mark.parametrize("setting", WHOLE_SETTINGS)
+def test_fractional_setting_rejected_naming_it(setting, value):
+    name = setting.split(".")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) whole number"):
+        WHOLE_SETTINGS[setting](value)
+
+
+def test_whole_settings_stored_as_int():
+    spec = FrameSpec(256.0, np.int64(80))
+    params = NmfParams(np.int32(2), 3.0, np.uint8(1))
+    mix = MixSpec(0.0, np.int64(3))
+    band = BandModel(np.ones((4, 1)), np.ones((4, 1)), 1.0)
+    model = SubbandBasisModel(np.int64(1), "haar", FrameSpec(4, 2), [band] * 2, 8000.0)
+    stored = [spec.frame_size, spec.frame_shift, params.rank, params.max_iters, params.seed,
+              mix.seed, model.level, model.sample_rate]
+    assert stored == [256, 80, 2, 3, 1, 3, 1, 8000]
+    assert all(type(v) is int for v in stored)
+    assert spec == FrameSpec(256, 80) and params == NmfParams(2, 3, 1)
+    x = Signal(np.ones(64), 8000)
+    np.testing.assert_array_equal(dwpt(x, 2.0, get_filters("db4")),
+                                  dwpt(x, 2, get_filters("db4")))
 
 
 def test_single_frame_identity():

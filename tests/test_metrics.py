@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subband_nmf import Signal, evaluate, mse, sdi, ssnr, synth_tone
+from subband_nmf.metrics import SSNR_CLAMP_DB, SSNR_SEG_MS
 
 from conftest import make_signal
 
@@ -90,6 +91,57 @@ def test_ssnr_scale_invariance(seed, scale):
         Signal(scale * ref.samples, 8000), Signal(scale * test.samples, 8000)
     )
     assert a == pytest.approx(b, abs=1e-9)
+
+
+def _ssnr_per_segment(reference, test):
+    """The per-segment loop `ssnr` replaced, kept as its bit-level reference."""
+    ref, tst = reference.samples, test.samples
+    seg_len = int(round(reference.sample_rate * SSNR_SEG_MS / 1000.0))
+    lo, hi = SSNR_CLAMP_DB
+    vals = []
+    for start in range(0, len(ref) - seg_len + 1, seg_len):
+        r = ref[start : start + seg_len]
+        t = tst[start : start + seg_len]
+        e_ref = float(np.sum(r * r))
+        if e_ref <= 1e-10:
+            continue
+        e_err = float(np.sum((r - t) ** 2))
+        if e_err == 0.0:
+            vals.append(hi)
+            continue
+        vals.append(float(np.clip(10.0 * np.log10(e_ref / e_err), lo, hi)))
+    if not vals:
+        raise ValueError("no non-silent segments to evaluate")
+    return float(np.mean(vals))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(300, 40_000),
+    rate=st.sampled_from([8000, 16000, 11025]),
+    seed=st.integers(0, 2**31),
+    silent_half=st.booleans(),
+    exact=st.sampled_from(["none", "some", "all"]),
+    noise=st.floats(1e-6, 10.0),
+)
+def test_ssnr_matches_per_segment_loop(n, rate, seed, silent_half, exact, noise):
+    r = np.random.default_rng(seed)
+    ref = r.uniform(-0.5, 0.5, n)
+    if silent_half:
+        ref[: n // 2] = 0.0
+    test = ref + noise * r.standard_normal(n)
+    if exact == "all":
+        test = ref.copy()
+    elif exact == "some":
+        test[: n // 3] = ref[: n // 3]
+    reference, tested = Signal(ref, rate), Signal(test, rate)
+    try:
+        want = _ssnr_per_segment(reference, tested)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-silent"):
+            ssnr(reference, tested)
+        return
+    assert ssnr(reference, tested) == want
 
 
 def test_sdi_cases():

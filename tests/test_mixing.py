@@ -23,7 +23,7 @@ def test_mix_spec_validation():
     MixSpec(0.0)
     with pytest.raises(ValueError):
         MixSpec(np.nan)
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be a nonnegative whole number, got -1"):
         MixSpec(0.0, seed=-1)
 
 

@@ -12,6 +12,7 @@ from subband_nmf import (
     Signal,
     StftBasisModel,
     SubbandBasisModel,
+    enhance_stft,
     get_filters,
     load_model,
     save_model,
@@ -260,6 +261,19 @@ def test_numpy_int_sample_rate_saves_same_bytes(tmp_path, trained):
     save_model(_with_rate(model, np.int64(8000)), numpy_rate)
     assert b"sample_rate: 8000\n" in plain.read_bytes()
     assert numpy_rate.read_bytes() == plain.read_bytes()
+
+
+def test_whole_float_frame_size_round_trips(tmp_path):
+    # stored as 256, so the file holds "frame_size: 256" and loads back
+    w = np.random.default_rng(0).uniform(0.1, 1.0, (129, 4))
+    floated, plain = tmp_path / "float.snm", tmp_path / "int.snm"
+    model = StftBasisModel(w[:, :2], w[:, 2:], FrameSpec(256.0, 80), 8000)
+    save_model(model, floated)
+    save_model(StftBasisModel(w[:, :2], w[:, 2:], FrameSpec(256, 80), 8000), plain)
+    assert floated.read_bytes() == plain.read_bytes()
+    assert load_model(floated).frame_spec == FrameSpec(256, 80)
+    out = enhance_stft(synth_white_noise(0.5, 8000, 0, 0.4), model)
+    assert np.all(np.isfinite(out.samples))
 
 
 def test_unknown_filter_name_rejected(tmp_path):

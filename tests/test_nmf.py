@@ -14,7 +14,7 @@ def test_params_validation():
         NmfParams(rank=0)
     with pytest.raises(ValueError):
         NmfParams(rank=2, max_iters=0)
-    with pytest.raises(ValueError, match="seed must be nonnegative"):
+    with pytest.raises(ValueError, match="seed must be a nonnegative whole number, got -1"):
         NmfParams(rank=2, seed=-1)
 
 

@@ -67,6 +67,13 @@ def test_subband_model_validation():
         SubbandBasisModel(1, "db8", FrameSpec(16, 4), [bm, bm], 8000)
 
 
+def test_subband_model_huge_level_rejected_at_once():
+    # compared with the band count's bit length before 2**level is formed
+    bm = BandModel(np.ones((32, 1)), np.ones((32, 1)), 1.0)
+    with pytest.raises(ValueError, match="level 1000000000000000000 needs .* band models, got 2"):
+        SubbandBasisModel(10**18, "db8", FrameSpec(32, 8), [bm, bm], 8000)
+
+
 def test_train_shapes_and_sigma():
     model = tiny_model()
     assert model.n_bands == 4

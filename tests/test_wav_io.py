@@ -126,3 +126,16 @@ def test_write_to_directory_raises_only_the_open_error(tmp_path, monkeypatch):
         write_wav(tmp_path, Signal(np.zeros(8), 8000))
     gc.collect()
     assert unraisable == []
+
+
+def test_rate_past_the_header_rejected_before_writing(tmp_path):
+    # the header's byte rate, twice the sample rate, is an unsigned 32-bit field
+    p = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match=r"must be below 2\*\*31 for WAV, got 2147483648"):
+        write_wav(p, Signal(np.zeros(8), 2**31))
+    assert not p.exists()
+    x = Signal(np.array([0.0, 0.5, -0.25, 0.0]), 2**31 - 1)
+    write_wav(p, x)
+    back, info = read_wav(p)
+    assert info.sample_rate == back.sample_rate == 2**31 - 1
+    np.testing.assert_array_equal(back.samples, x.samples)

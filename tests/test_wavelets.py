@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subband_nmf import FILTER_NAMES, Signal, dwpt, get_filters, idwpt
+from subband_nmf import FILTER_NAMES, Signal, WaveletFilters, dwpt, get_filters, idwpt
 from subband_nmf.wavelets import analysis_split, synthesis_merge
 
 from conftest import make_signal
@@ -66,6 +66,25 @@ def test_db8_taps_against_reference():
 def test_unknown_filter_rejected():
     with pytest.raises(ValueError, match="unknown wavelet filter"):
         get_filters("sym5")
+
+
+def test_filters_carry_only_their_family_taps():
+    # a model file records only the family name, so the name must fix the taps
+    db8, haar = get_filters("db8"), get_filters("haar")
+    foreign = [
+        ("db8", db8.analysis_low[::-1], db8.analysis_high[::-1]),
+        ("db8", haar.analysis_low, haar.analysis_high),
+        ("db8", db8.analysis_low, db8.analysis_low),
+        ("haar", db8.analysis_low, db8.analysis_high),
+    ]
+    for name, low, high in foreign:
+        with pytest.raises(ValueError, match=f"filters named '{name}' must carry"):
+            WaveletFilters(name, low, high)
+    with pytest.raises(ValueError, match="unknown wavelet filter"):
+        WaveletFilters("sym5", db8.analysis_low, db8.analysis_high)
+    copy = WaveletFilters("db8", db8.analysis_low.copy(), list(db8.analysis_high))
+    x = make_signal(256, seed=3)
+    np.testing.assert_array_equal(dwpt(x, 2, copy), dwpt(x, 2, db8))
 
 
 def test_split_energy_conservation():
@@ -172,6 +191,13 @@ def test_haar_too_deep_rejected():
     with pytest.raises(ValueError, match="too deep"):
         dwpt(make_signal(7), 3, get_filters("haar"))
     assert dwpt(make_signal(8), 3, get_filters("haar")).shape == (8, 1)
+
+
+def test_huge_level_rejected_at_once():
+    # the depth is compared with the signal length's bit length before
+    # 2**level is formed, which for this level would not fit in memory
+    with pytest.raises(ValueError, match="level 1000000000000000000 too deep"):
+        dwpt(Signal(np.ones(100), 8000), 10**18, get_filters("haar"))
 
 
 def test_dc_lands_in_first_band():
