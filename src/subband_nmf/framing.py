@@ -7,6 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _shown(value) -> str:
+    """str(value); an int too long for str() is described by its bit length instead."""
+    try:
+        return str(value)
+    except ValueError:  # past Python's limit on the digits of an int
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def _whole(value, name: str, lowest: int = 1) -> int:
     """Return value as an int; ValueError naming it unless it is whole (256.0 is) and >= lowest."""
     try:
@@ -15,7 +23,7 @@ def _whole(value, name: str, lowest: int = 1) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     kind = "positive" if lowest == 1 else "nonnegative"
-    raise ValueError(f"{name} must be a {kind} whole number, got {value}")
+    raise ValueError(f"{name} must be a {kind} whole number, got {_shown(value)}")
 
 
 @dataclass

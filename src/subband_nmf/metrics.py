@@ -46,6 +46,11 @@ def ssnr(reference: Signal, test: Signal) -> float:
     if seg_len < 1:
         raise ValueError("segment length must be at least one sample")
     n = len(ref) // seg_len * seg_len
+    if n == 0:
+        raise ValueError(
+            f"no non-silent segments to evaluate: {len(ref)} samples are shorter than "
+            f"one {SSNR_SEG_MS:g} ms segment of {seg_len} samples"
+        )
     r, t = ref[:n].reshape(-1, seg_len), tst[:n].reshape(-1, seg_len)
     e_ref = np.sum(r * r, axis=1)
     e_err = np.sum((r - t) ** 2, axis=1)

@@ -112,6 +112,11 @@ def synth_pink_noise(
     classes.
     """
     n = int(round(duration_s * sample_rate))
+    if n < 2:  # the 1/f shaping needs a DC bin and one more
+        raise ValueError(
+            f"pink noise needs at least 2 samples; {duration_s} s at {sample_rate} Hz "
+            f"gives {n}"
+        )
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)

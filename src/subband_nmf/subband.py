@@ -18,6 +18,7 @@ from .defaults import EPSILON
 from .framing import (
     FrameSpec,
     Signal,
+    _shown,
     _whole,
     frame_count,
     frame_signal,
@@ -73,7 +74,8 @@ class SubbandBasisModel:
         n = len(self.per_band)
         # the bit length test keeps a huge level from forming 2**level
         if self.level >= n.bit_length() or n != 2**self.level:
-            raise ValueError(f"level {self.level} needs 2**{self.level} band models, got {n}")
+            level = _shown(self.level)
+            raise ValueError(f"level {level} needs 2**{level} band models, got {n}")
         for b, band in enumerate(self.per_band):
             _check_dictionaries(
                 band.w_speech, band.w_noise, self.frame_spec.frame_size, f"band {b} "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framing import Signal, _whole
+from .framing import Signal, _shown, _whole
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -145,7 +145,7 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
     # 2 * ceil(orig / 2**level) samples span the filter
     if level >= orig.bit_length() or 2 * -(-orig >> level) < filters.taps:
         raise ValueError(
-            f"level {level} too deep: a length-{orig} signal leaves less than "
+            f"level {_shown(level)} too deep: a length-{orig} signal leaves less than "
             f"one {filters.taps}-tap filter span at the final split"
         )
     x = np.concatenate([signal.samples, np.zeros(-orig % (1 << level))])

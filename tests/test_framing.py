@@ -78,6 +78,28 @@ def test_fractional_setting_rejected_naming_it(setting, value):
         WHOLE_SETTINGS[setting](value)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: NmfParams(-10**5000),
+         "rank must be a positive whole number, got -<16610-bit integer>"),
+        (lambda: MixSpec(0, -10**5000),
+         "seed must be a nonnegative whole number, got -<16610-bit integer>"),
+        (lambda: dwpt(Signal(np.ones(100), 8000), 10**5000, get_filters("haar")),
+         "level <16610-bit integer> too deep"),
+        (lambda: SubbandBasisModel(
+            10**5000, "haar", FrameSpec(4, 2),
+            [BandModel(np.ones((4, 1)), np.ones((4, 1)), 1.0)] * 2, 8000),
+         r"level <16610-bit integer> needs 2\*\*<16610-bit integer> band models, got 2"),
+    ],
+    ids=["rank", "seed", "dwpt-level", "model-level"],
+)
+def test_int_past_the_digit_limit_named_by_bit_length(build, message):
+    # str() refuses an int of more than 4,300 digits with a message naming no setting
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
 def test_whole_settings_stored_as_int():
     spec = FrameSpec(256.0, np.int64(80))
     params = NmfParams(np.int32(2), 3.0, np.uint8(1))

@@ -74,6 +74,14 @@ def test_ssnr_ignores_partial_tail():
     assert ssnr(longer_ref, longer_test) == ssnr(ref, test)
 
 
+def test_ssnr_shorter_than_one_segment_rejected_saying_so():
+    short = make_signal(SEG - 1)
+    with pytest.raises(
+        ValueError, match="255 samples are shorter than one 32 ms segment of 256 samples"
+    ):
+        ssnr(short, short)
+
+
 def test_ssnr_all_silent_rejected():
     silent = Signal(np.zeros(4 * SEG), 8000)
     with pytest.raises(ValueError, match="non-silent"):

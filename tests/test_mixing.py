@@ -149,3 +149,10 @@ def test_pink_noise_spectral_tilt():
     low = spectrum[(freqs >= 20) & (freqs < 40)].mean()
     high = spectrum[(freqs >= 2000) & (freqs < 4000)].mean()
     assert low > 10 * high
+
+
+@pytest.mark.parametrize("duration_s", [0.0, 1 / 8000])
+def test_pink_noise_needs_two_samples(duration_s):
+    # 0 samples has no spectrum to shape and 1 sample has only its zeroed DC bin
+    with pytest.raises(ValueError, match=f"^pink noise needs at least 2 samples; {duration_s} s"):
+        synth_pink_noise(duration_s, 8000)

@@ -139,7 +139,7 @@ def test_version_mismatch(tmp_path):
 
 
 def test_wrong_band_count(tmp_path):
-    # level 3 declares only 7 subband blocks
+    # level 3 declares only 7 subband blocks; the model's own count check fires
     p = tmp_path / "m.snm"
     header = ["format_version: 1", "model_kind: dwpt", "sample_rate: 8000",
               "frame_size: 4", "frame_shift: 2", "level: 3", "filter_name: haar"]
@@ -149,10 +149,10 @@ def test_wrong_band_count(tmp_path):
         header.append(f"matrix w_speech_{b} 4 1")
         header.append(f"matrix w_noise_{b} 4 1")
         blobs.extend([blob, blob])
-    header.append("matrix sigma_clean 1 8")
-    blobs.append(np.ones((1, 8)).tobytes())
+    header.append("matrix sigma_clean 1 7")
+    blobs.append(np.ones((1, 7)).tobytes())
     build_file(p, header, blobs)
-    with pytest.raises(ValueError, match="expected 8 subband blocks"):
+    with pytest.raises(ValueError, match=r"level 3 needs 2\*\*3 band models, got 7"):
         load_model(p)
 
 
@@ -387,14 +387,52 @@ def test_level_zero_rejected(tmp_path):
          "matrix w_speech_0 4 1", "matrix w_noise_0 4 1", "matrix sigma_clean 1 1"],
         [blob, blob, np.ones((1, 1)).tobytes()],
     )
-    with pytest.raises(ValueError, match="level must be >= 1"):
+    with pytest.raises(ValueError, match=": level must be a positive whole number, got 0"):
         load_model(p)
 
 
 def test_huge_level_rejected_without_forming_its_power(tmp_path):
-    # 2**(10**12) would not finish; the declaration count rules the level out first
+    # 2**(10**12) would not finish; the model's bit-length test rules the level out first
     p = tmp_path / "m.snm"
     save_model(trained_dwpt(), p)
     p.write_bytes(p.read_bytes().replace(b"level: 2\n", b"level: 1000000000000\n", 1))
-    with pytest.raises(ValueError, match="expected more subband blocks for level 1000000000000"):
+    with pytest.raises(
+        ValueError, match=r": level 1000000000000 needs 2\*\*1000000000000 band models, got 4"
+    ):
         load_model(p)
+
+
+@pytest.mark.parametrize(
+    "trained, edit, message",
+    [
+        ("stft", lambda raw: raw.replace(b"sample_rate: 8000\n", b"sample_rate: 8000\n" * 2, 1),
+         "header field 'sample_rate' appears twice"),
+        ("stft", lambda raw: raw + b"\x00" * 8, "8 trailing bytes"),
+        ("stft", lambda raw: raw.replace(b"window_name: hamming\n", b"window_name: hann\n", 1),
+         "unknown window 'hann'"),
+        ("stft", lambda raw: raw.replace(b"frame_shift: 16\n", b"frame_shift: 65\n", 1),
+         r"frame_shift must be in \[1, frame_size\]"),
+        ("stft", lambda raw: raw.replace(b"frame_size: 64\n", b"frame_size: 66\n", 1),
+         "w_speech must have 34 rows"),
+        ("dwpt", lambda raw: raw.replace(b"sample_rate: 8000\n", b"sample_rate: 0\n", 1),
+         "sample_rate must be a positive whole number, got 0"),
+        ("dwpt", lambda raw: raw.replace(b"filter_name: db4\n", b"filter_name: db9\n", 1),
+         "unknown wavelet filter 'db9'"),
+        # sigma_clean is the last matrix, 1 x 4 at level 2; band 1's entry
+        ("dwpt", lambda raw: raw[:-24] + np.array([np.inf]).tobytes() + raw[-16:],
+         "sigma_clean must be finite and nonnegative"),
+    ],
+    ids=["repeated-field", "trailing-bytes", "window", "frame-shift", "dictionary-rows",
+         "sample-rate", "filter", "sigma"],
+)
+def test_every_load_error_starts_with_the_path_once(tmp_path, trained, edit, message):
+    # the file format is checked by the loader and the model's rules by its
+    # constructors; either way the error names the file, and only once
+    p = tmp_path / "m.snm"
+    save_model(trained_stft(tmp_path) if trained == "stft" else trained_dwpt(), p)
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(ValueError, match=message) as caught:
+        load_model(p)
+    text = str(caught.value)
+    assert text.startswith(f"{p}: ")
+    assert text.count(str(p)) == 1
