@@ -122,8 +122,7 @@ def overlap_add(frames: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndar
         raise ValueError("frame matrix must be a non-empty 2-D array")
     if frames.shape[0] != spec.frame_size:
         raise ValueError("frame matrix row count must equal frame_size")
-    if target_len < 1:
-        raise ValueError("target_len must be positive")
+    target_len = _whole(target_len, "target_len")
 
     acc = _overlap_sum(frames, spec.frame_shift, target_len)
     # frames k with k*shift <= t < k*shift + size cover sample t

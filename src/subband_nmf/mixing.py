@@ -62,6 +62,13 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     return Signal(clean.samples + alpha * segment, clean.sample_rate)
 
 
+def _sample_count(duration_s: float, sample_rate: int) -> int:
+    """duration_s * sample_rate rounded to a whole sample count; ValueError unless finite and >= 0."""
+    if not (np.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
+    return int(round(duration_s * sample_rate))
+
+
 def synth_tone(
     freq_hz: float, duration_s: float, sample_rate: int, amplitude: float = 0.5
 ) -> Signal:
@@ -70,7 +77,7 @@ def synth_tone(
         raise ValueError(
             f"tone frequency {freq_hz} Hz outside (0, {sample_rate / 2.0}) Hz"
         )
-    n = int(round(duration_s * sample_rate))
+    n = _sample_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * t), sample_rate)
 
@@ -84,7 +91,7 @@ def synth_sweep(
     """
     rng = np.random.default_rng(seed)
     period = 1.6 * rng.uniform(0.9, 1.1)
-    n = int(duration_s * sample_rate)
+    n = _sample_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate + rng.uniform(0, period)
     tri = 2.0 * np.abs(t / period - np.floor(t / period + 0.5))
     freq = 150.0 + (3850.0 - 150.0) * tri
@@ -96,7 +103,7 @@ def synth_white_noise(
     duration_s: float, sample_rate: int, seed: int = 0, amplitude: float = 0.5
 ) -> Signal:
     """Uniform white noise in [-amplitude, amplitude], reproducible by seed."""
-    n = int(round(duration_s * sample_rate))
+    n = _sample_count(duration_s, sample_rate)
     rng = np.random.default_rng(seed)
     return Signal(rng.uniform(-amplitude, amplitude, n), sample_rate)
 
@@ -111,7 +118,7 @@ def synth_pink_noise(
     given amplitude so the two generators are interchangeable as noise
     classes.
     """
-    n = int(round(duration_s * sample_rate))
+    n = _sample_count(duration_s, sample_rate)
     if n < 2:  # the 1/f shaping needs a DC bin and one more
         raise ValueError(
             f"pink noise needs at least 2 samples; {duration_s} s at {sample_rate} Hz "

@@ -86,8 +86,7 @@ def istft(values: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(values)):
         raise ValueError("spectrogram values must be finite")
-    if target_len < 0:
-        raise ValueError("target_len must be nonnegative")
+    target_len = _whole(target_len, "target_len", 0)
     window = np.hamming(size)
     frames = np.fft.irfft(values, n=size, axis=0)
     frames *= window[:, None]

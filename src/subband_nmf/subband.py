@@ -30,7 +30,7 @@ from .nmf import NmfParams, _reject_overflow
 from .spectral import (
     _check_dictionaries, _check_rate, _check_training_set, _train_pair, separation_gain
 )
-from .wavelets import WaveletFilters, _check_filter_name, dwpt, idwpt
+from .wavelets import WaveletFilters, dwpt, idwpt
 
 __all__ = [
     "BandModel",
@@ -70,7 +70,7 @@ class SubbandBasisModel:
     def __post_init__(self):
         self.sample_rate = _whole(self.sample_rate, "sample_rate")
         self.level = _whole(self.level, "level")
-        _check_filter_name(self.filter_name)
+        WaveletFilters(self.filter_name)
         n = len(self.per_band)
         # the bit length test keeps a huge level from forming 2**level
         if self.level >= n.bit_length() or n != 2**self.level:

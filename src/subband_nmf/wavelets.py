@@ -10,7 +10,8 @@ length at every split.
 The subbands travel as one plain float64 matrix: `dwpt` returns the
 (2^J, band length) matrix with one band per row in natural tree order,
 and `idwpt(bands, filters, length)` merges its rows and keeps the first
-`length` samples.
+`length` samples.  Splits and merges act on the last axis, so each tree
+level is one call on the whole matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ FILTER_NAMES = tuple(_SCALING_TAPS)
 
 @dataclass(frozen=True)
 class WaveletFilters:
-    """Two-channel orthonormal tap pair, exactly the named family's.
+    """A shipped two-channel orthonormal filter family: its name fixes its taps.
 
     A model file records only the name.  Synthesis uses the analysis taps:
     with circular extension the bank is exact only when synthesis is the
@@ -60,74 +61,73 @@ class WaveletFilters:
     """
 
     name: str
-    analysis_low: np.ndarray
-    analysis_high: np.ndarray
 
     def __post_init__(self):
-        low, high = _family_taps(self.name)
-        if not (np.array_equal(self.analysis_low, low)
-                and np.array_equal(self.analysis_high, high)):
-            raise ValueError(f"filters named '{self.name}' must carry the {self.name} taps")
+        if self.name not in _SCALING_TAPS:
+            raise ValueError(f"unknown wavelet filter '{self.name}' (choose from {FILTER_NAMES})")
+
+    @property
+    def analysis_low(self) -> np.ndarray:
+        return np.array(_SCALING_TAPS[self.name], dtype=np.float64)
+
+    @property
+    def analysis_high(self) -> np.ndarray:
+        # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
+        low = self.analysis_low
+        return ((-1.0) ** np.arange(len(low))) * low[::-1]
 
     @property
     def taps(self) -> int:
-        return len(self.analysis_low)
-
-
-def _check_filter_name(name: str) -> None:
-    if name not in _SCALING_TAPS:
-        raise ValueError(f"unknown wavelet filter '{name}' (choose from {FILTER_NAMES})")
-
-
-def _family_taps(name: str):
-    """The (low-pass, high-pass) analysis taps of a shipped family."""
-    _check_filter_name(name)
-    low = np.array(_SCALING_TAPS[name], dtype=np.float64)
-    # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
-    high = ((-1.0) ** np.arange(len(low))) * low[::-1]
-    return low, high
+        return len(_SCALING_TAPS[self.name])
 
 
 def get_filters(name: str) -> WaveletFilters:
     """Look up a shipped orthonormal filter family by name."""
-    return WaveletFilters(name, *_family_taps(name))
+    return WaveletFilters(name)
+
+
+def _band_length(x: np.ndarray) -> int:
+    """The length of the last axis, which a split or merge must not find empty."""
+    if x.shape[-1] == 0:
+        raise ValueError("cannot split or merge an empty band")
+    return x.shape[-1]
 
 
 def analysis_split(x: np.ndarray, filters: WaveletFilters):
-    """One circular-convolution analysis step: (low, high), each half length."""
+    """One circular-convolution analysis step on the last axis: (low, high), each half length.
+
+    Output k of each half is the window x[2k : 2k + taps], indices taken
+    mod n, against that half's taps.  x is one band or a (rows, n) matrix.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if len(x) % 2 != 0:
+    n = _band_length(x)
+    if n % 2 != 0:
         raise ValueError("length must be even at every level")
-    ext = np.concatenate([x, np.resize(x, filters.taps - 1)])
-    windows = np.lib.stride_tricks.sliding_window_view(ext, filters.taps)[::2]
+    ext = np.concatenate([x, x[..., np.arange(filters.taps - 1) % n]], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, filters.taps, axis=-1)[..., ::2, :]
     return windows @ filters.analysis_low, windows @ filters.analysis_high
 
 
 def synthesis_merge(
     low: np.ndarray, high: np.ndarray, filters: WaveletFilters
 ) -> np.ndarray:
-    """Inverse of analysis_split: upsample, filter, and fold circularly."""
+    """Inverse of analysis_split, as its transpose, on the last axis.
+
+    Tap j sends low[k] and high[k] back to sample (2k + j) mod n, the one
+    it was read from.  The taps accumulate into whole periods of n, which
+    are then folded, so a band shorter than the filter wraps several times.
+    """
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
-    if len(low) != len(high):
-        raise ValueError("low/high subband length mismatch")
-    n = 2 * len(low)
-    if n == 0:
-        return np.zeros(0)
-    up_low = np.zeros(n)
-    up_low[::2] = low
-    up_high = np.zeros(n)
-    up_high[::2] = high
-    y = np.convolve(up_low, filters.analysis_low) + np.convolve(
-        up_high, filters.analysis_high
-    )
-    out = y[:n].copy()
-    tail = y[n:]
-    while tail.size > 0:
-        m = min(tail.size, n)
-        out[:m] += tail[:m]
-        tail = tail[m:]
-    return out
+    if low.shape != high.shape:
+        raise ValueError("low/high subband shape mismatch")
+    n = 2 * _band_length(low)
+    # the last tap lands on sample n + taps - 3 before the fold
+    periods = -(-(n + filters.taps - 2) // n)
+    acc = np.zeros(low.shape[:-1] + (periods * n,))
+    for j, (g, h) in enumerate(zip(filters.analysis_low, filters.analysis_high)):
+        acc[..., j : j + n : 2] += low * g + high * h
+    return acc.reshape(low.shape[:-1] + (periods, n)).sum(axis=-2)
 
 
 def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
@@ -148,23 +148,18 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
             f"level {_shown(level)} too deep: a length-{orig} signal leaves less than "
             f"one {filters.taps}-tap filter span at the final split"
         )
-    x = np.concatenate([signal.samples, np.zeros(-orig % (1 << level))])
-    bands = [x]
+    bands = np.concatenate([signal.samples, np.zeros(-orig % (1 << level))])[None, :]
     for _ in range(level):
-        split = []
-        for band in bands:
-            lo, hi = analysis_split(band, filters)
-            split.append(lo)
-            split.append(hi)
-        bands = split
-    return np.array(bands)
+        # each row becomes its low band followed by its high band
+        bands = np.stack(analysis_split(bands, filters), axis=1).reshape(2 * len(bands), -1)
+    return bands
 
 
 def idwpt(bands: np.ndarray, filters: WaveletFilters, length: int) -> np.ndarray:
     """Merge the rows of a `dwpt` matrix back up the tree; keep `length` samples.
 
     Only the shape is checked: 2-D with a power-of-two row count of at
-    least 2, and 1 <= length <= bands.size.
+    least 2, and length a whole number in [1, bands.size].
     """
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 2:
@@ -172,12 +167,9 @@ def idwpt(bands: np.ndarray, filters: WaveletFilters, length: int) -> np.ndarray
     rows = bands.shape[0]
     if rows < 2 or rows & (rows - 1):
         raise ValueError(f"band count must be a power of two >= 2, got {rows}")
-    if not 1 <= length <= bands.size:
+    length = _whole(length, "length")
+    if length > bands.size:
         raise ValueError(f"length must be in [1, {bands.size}], got {length}")
-    merged = list(bands)
-    while len(merged) > 1:
-        merged = [
-            synthesis_merge(merged[i], merged[i + 1], filters)
-            for i in range(0, len(merged), 2)
-        ]
-    return merged[0][:length]
+    while len(bands) > 1:
+        bands = synthesis_merge(bands[0::2], bands[1::2], filters)
+    return bands[0][:length]

@@ -165,6 +165,15 @@ def test_overlap_add_single_frame_no_overlap():
     np.testing.assert_array_equal(out, np.arange(8.0))
 
 
+def test_overlap_add_target_len_is_a_whole_number():
+    spec = FrameSpec(8, 4)
+    frames = np.arange(24.0).reshape(8, 3)
+    np.testing.assert_array_equal(overlap_add(frames, spec, 16.0), overlap_add(frames, spec, 16))
+    for target_len in (2.5, 0, "16"):
+        with pytest.raises(ValueError, match="^target_len must be a positive whole number"):
+            overlap_add(frames, spec, target_len)
+
+
 def test_frame_then_overlap_add_reconstructs():
     x = make_signal(1200, seed=3)
     spec = FrameSpec(256, 80)

@@ -7,6 +7,7 @@ from subband_nmf import (
     Signal,
     mix_at_snr,
     synth_pink_noise,
+    synth_sweep,
     synth_tone,
     synth_white_noise,
 )
@@ -156,3 +157,22 @@ def test_pink_noise_needs_two_samples(duration_s):
     # 0 samples has no spectrum to shape and 1 sample has only its zeroed DC bin
     with pytest.raises(ValueError, match=f"^pink noise needs at least 2 samples; {duration_s} s"):
         synth_pink_noise(duration_s, 8000)
+
+
+@pytest.mark.parametrize("duration_s", [-1.0, float("inf"), float("nan")])
+def test_every_generator_rejects_a_bad_duration(duration_s):
+    generators = [
+        lambda: synth_tone(500.0, duration_s, 8000),
+        lambda: synth_sweep(duration_s, 8000),
+        lambda: synth_white_noise(duration_s, 8000),
+        lambda: synth_pink_noise(duration_s, 8000),
+    ]
+    for make in generators:
+        with pytest.raises(ValueError, match="^duration_s must be finite and nonnegative"):
+            make()
+
+
+def test_sweep_rounds_its_sample_count():
+    # 2.01 * 8000 is 16079.999999999998 in floating point, which int() truncated
+    assert len(synth_sweep(2.01, 8000)) == len(synth_white_noise(2.01, 8000)) == 16080
+    assert len(synth_sweep(0.0, 8000)) == 0

@@ -40,6 +40,16 @@ def test_spectrogram_validation():
         istft(np.full((9, 2), np.nan + 0j), spec, 20)
 
 
+def test_istft_target_len_is_a_whole_number():
+    spec = FrameSpec(16, 4)
+    values = stft(make_signal(40, seed=2), spec)
+    np.testing.assert_array_equal(istft(values, spec, 30.0), istft(values, spec, 30))
+    assert len(istft(values, spec, 0)) == 0
+    for target_len in (30.5, -1, "30"):
+        with pytest.raises(ValueError, match="^target_len must be a nonnegative whole number"):
+            istft(values, spec, target_len)
+
+
 def test_stft_matches_direct_dft():
     # hand oracle: rfft of one windowed frame computed by direct summation
     x = make_signal(40, seed=6)

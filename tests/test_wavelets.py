@@ -70,21 +70,73 @@ def test_unknown_filter_rejected():
 
 def test_filters_carry_only_their_family_taps():
     # a model file records only the family name, so the name must fix the taps
-    db8, haar = get_filters("db8"), get_filters("haar")
-    foreign = [
-        ("db8", db8.analysis_low[::-1], db8.analysis_high[::-1]),
-        ("db8", haar.analysis_low, haar.analysis_high),
-        ("db8", db8.analysis_low, db8.analysis_low),
-        ("haar", db8.analysis_low, db8.analysis_high),
-    ]
-    for name, low, high in foreign:
-        with pytest.raises(ValueError, match=f"filters named '{name}' must carry"):
-            WaveletFilters(name, low, high)
+    assert WaveletFilters("db8") == get_filters("db8")
     with pytest.raises(ValueError, match="unknown wavelet filter"):
-        WaveletFilters("sym5", db8.analysis_low, db8.analysis_high)
-    copy = WaveletFilters("db8", db8.analysis_low.copy(), list(db8.analysis_high))
-    x = make_signal(256, seed=3)
-    np.testing.assert_array_equal(dwpt(x, 2, copy), dwpt(x, 2, db8))
+        WaveletFilters("sym5")
+    np.testing.assert_array_equal(WaveletFilters("db8").analysis_low, DB8_REFERENCE)
+
+
+def _reference_split(x, f):
+    """The per-band split that the model bytes were first written with."""
+    ext = np.concatenate([x, np.resize(x, f.taps - 1)])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, f.taps)[::2]
+    return windows @ f.analysis_low, windows @ f.analysis_high
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_dwpt_matches_per_band_reference_bit_for_bit(name, level):
+    f = get_filters(name)
+    x = make_signal(1001, seed=level)
+    bands = [np.concatenate([x.samples, np.zeros(-len(x) % 2**level)])]
+    for _ in range(level):
+        bands = [half for band in bands for half in _reference_split(band, f)]
+    np.testing.assert_array_equal(dwpt(x, level, f), np.array(bands))
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 34])
+def test_synthesis_is_the_transpose_of_analysis(name, n):
+    # below taps - 1 samples the merge wraps a filter round the band more than once
+    f = get_filters(name)
+    analysis = np.column_stack([np.concatenate(analysis_split(e, f)) for e in np.eye(n)])
+    coeffs = make_signal(n, seed=n).samples
+    np.testing.assert_allclose(
+        synthesis_merge(coeffs[: n // 2], coeffs[n // 2 :], f),
+        analysis.T @ coeffs,
+        rtol=0, atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+def test_split_and_merge_act_row_by_row(name):
+    f = get_filters(name)
+    rows = np.random.default_rng(4).standard_normal((5, 36))
+    lo, hi = analysis_split(rows, f)
+    for r, row in enumerate(rows):
+        row_lo, row_hi = analysis_split(row, f)
+        np.testing.assert_array_equal(lo[r], row_lo)
+        np.testing.assert_array_equal(hi[r], row_hi)
+    merged = synthesis_merge(lo, hi, f)
+    for r in range(len(rows)):
+        np.testing.assert_array_equal(merged[r], synthesis_merge(lo[r], hi[r], f))
+
+
+def test_split_and_merge_reject_empty_bands():
+    f = get_filters("db4")
+    for empty in (np.zeros(0), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="^cannot split or merge an empty band$"):
+            analysis_split(empty, f)
+        with pytest.raises(ValueError, match="^cannot split or merge an empty band$"):
+            synthesis_merge(empty, empty, f)
+
+
+def test_merge_rejects_unequal_shapes():
+    f = get_filters("haar")
+    with pytest.raises(ValueError, match="shape mismatch"):
+        synthesis_merge(np.zeros(4), np.zeros(3), f)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        synthesis_merge(np.zeros((2, 4)), np.zeros(4), f)
 
 
 def test_split_energy_conservation():
@@ -176,6 +228,15 @@ def test_idwpt_rejects_bad_shapes():
         with pytest.raises(ValueError, match="length"):
             idwpt(np.zeros((4, 8)), f, length)
     assert len(idwpt(np.zeros((4, 8)), f, 1)) == 1
+
+
+def test_idwpt_length_is_a_whole_number():
+    f = get_filters("db4")
+    bands = dwpt(make_signal(32, seed=1), 2, f)
+    np.testing.assert_array_equal(idwpt(bands, f, 30.0), idwpt(bands, f, 30))
+    for length in (2.5, -1, "30"):
+        with pytest.raises(ValueError, match="^length must be a positive whole number"):
+            idwpt(bands, f, length)
 
 
 def test_dwpt_too_deep_rejected():
