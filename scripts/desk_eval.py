@@ -23,7 +23,6 @@ from subband_nmf import (
     enhance_dwpt,
     enhance_stft,
     evaluate,
-    get_filters,
     mix_at_snr,
     synth_pink_noise,
     synth_sweep,
@@ -50,7 +49,7 @@ def train_models(args):
     )
     t1 = time.perf_counter()
     dwpt_model = train_dwpt_model(
-        clean, noise, args.level, get_filters(args.filters), FrameSpec(256, 32),
+        clean, noise, args.level, args.filters, FrameSpec(256, 32),
         speech_params=speech, noise_params=bg,
     )
     t2 = time.perf_counter()
@@ -59,7 +58,6 @@ def train_models(args):
 
 
 def run_condition(stft_model, dwpt_model, snr_db, seeds, enc):
-    filters = get_filters(dwpt_model.filter_name)
     rows = {"noisy": [], "stft": [], "dwpt": []}
     for seed in seeds:
         clean = synth_sweep(2.0, RATE, 50 + seed)
@@ -71,7 +69,7 @@ def run_condition(stft_model, dwpt_model, snr_db, seeds, enc):
         outputs = {
             "noisy": noisy,
             "stft": enhance_stft(noisy, stft_model, params=enc),
-            "dwpt": enhance_dwpt(noisy, dwpt_model, filters, params=enc),
+            "dwpt": enhance_dwpt(noisy, dwpt_model, dwpt_model.filter_name, params=enc),
         }
         for name, sig in outputs.items():
             rows[name].append(evaluate(clean, sig))

@@ -25,7 +25,7 @@ from .subband import (
     train_dwpt_model,
 )
 from .wav_io import WavInfo, read_wav, write_wav
-from .wavelets import FILTER_NAMES, WaveletFilters, dwpt, get_filters, idwpt
+from .wavelets import FILTER_NAMES, dwpt, get_filters, idwpt
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "Signal",
     "StftBasisModel",
     "SubbandBasisModel",
-    "WaveletFilters",
     "WavInfo",
     "dwpt",
     "encode",

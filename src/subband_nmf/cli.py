@@ -30,7 +30,7 @@ from .nmf import NmfParams
 from .spectral import StftBasisModel, enhance_stft, istft, stft, train_stft_model
 from .subband import enhance_dwpt, train_dwpt_model
 from .wav_io import read_wav, write_wav
-from .wavelets import FILTER_NAMES, dwpt, get_filters, idwpt
+from .wavelets import FILTER_NAMES, dwpt, idwpt
 
 # each method's default frame geometry, (frame_size, frame_shift)
 METHOD_FRAMES = {
@@ -74,7 +74,7 @@ def cmd_train(args) -> int:
         )
     else:
         model = train_dwpt_model(
-            clean, noise, args.level, get_filters(args.filter_name), spec,
+            clean, noise, args.level, args.filter_name, spec,
             speech_params=speech_params, noise_params=noise_params,
         )
     save_model(model, args.out)
@@ -108,7 +108,7 @@ def cmd_enhance(args) -> int:
     if isinstance(model, StftBasisModel):
         enhance = partial(enhance_stft, model=model, params=params)
     else:
-        enhance = partial(enhance_dwpt, model=model, filters=get_filters(model.filter_name),
+        enhance = partial(enhance_dwpt, model=model, filter_name=model.filter_name,
                           params=params, normalize=args.normalize)
     inputs = _expand_audio(args.in_paths)
     out = Path(args.out)
@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
     for ref_path, test_path in pairs:
         try:
             report = evaluate(read_wav(ref_path)[0], read_wav(test_path)[0])
-        except ValueError as e:
+        except (ValueError, OSError) as e:
             failed += 1
             print(f"error: {test_path}: {e}", file=sys.stderr)
             continue
@@ -203,9 +203,8 @@ def cmd_roundtrip(args) -> int:
     signal, _ = read_wav(args.in_path)
     x = signal.samples
     if args.transform == "dwpt":
-        filters = get_filters(args.filter_name)
-        y = idwpt(dwpt(signal, args.level, filters), filters, len(x))
-        label = f"dwpt level={args.level} filter={filters.name}"
+        y = idwpt(dwpt(signal, args.level, args.filter_name), args.filter_name, len(x))
+        label = f"dwpt level={args.level} filter={args.filter_name}"
     else:
         spec = FrameSpec(args.frame_size, args.frame_shift)
         y = istft(stft(signal, spec), spec, len(x))

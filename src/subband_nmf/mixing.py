@@ -62,10 +62,18 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     return Signal(clean.samples + alpha * segment, clean.sample_rate)
 
 
-def _sample_count(duration_s: float, sample_rate: int) -> int:
-    """duration_s * sample_rate rounded to a whole sample count; ValueError unless finite and >= 0."""
+def _sample_count(duration_s: float, sample_rate: int, amplitude: float) -> int:
+    """duration_s * sample_rate rounded to a whole sample count.
+
+    Every generator starts here, so the arguments they share are checked
+    once: ValueError unless the rate is a positive whole number, the
+    duration finite and >= 0, and the amplitude finite.
+    """
+    sample_rate = _whole(sample_rate, "sample_rate")
     if not (np.isfinite(duration_s) and duration_s >= 0):
         raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     return int(round(duration_s * sample_rate))
 
 
@@ -73,11 +81,11 @@ def synth_tone(
     freq_hz: float, duration_s: float, sample_rate: int, amplitude: float = 0.5
 ) -> Signal:
     """Pure sinusoid; freq must sit below the Nyquist rate."""
+    n = _sample_count(duration_s, sample_rate, amplitude)
     if not 0.0 < freq_hz < sample_rate / 2.0:
         raise ValueError(
             f"tone frequency {freq_hz} Hz outside (0, {sample_rate / 2.0}) Hz"
         )
-    n = _sample_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * t), sample_rate)
 
@@ -89,9 +97,9 @@ def synth_sweep(
 
     The seed jitters the 1.6 s sweep period by up to 10% and the start phase.
     """
-    rng = np.random.default_rng(seed)
+    n = _sample_count(duration_s, sample_rate, amplitude)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     period = 1.6 * rng.uniform(0.9, 1.1)
-    n = _sample_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate + rng.uniform(0, period)
     tri = 2.0 * np.abs(t / period - np.floor(t / period + 0.5))
     freq = 150.0 + (3850.0 - 150.0) * tri
@@ -103,8 +111,8 @@ def synth_white_noise(
     duration_s: float, sample_rate: int, seed: int = 0, amplitude: float = 0.5
 ) -> Signal:
     """Uniform white noise in [-amplitude, amplitude], reproducible by seed."""
-    n = _sample_count(duration_s, sample_rate)
-    rng = np.random.default_rng(seed)
+    n = _sample_count(duration_s, sample_rate, amplitude)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     return Signal(rng.uniform(-amplitude, amplitude, n), sample_rate)
 
 
@@ -118,13 +126,13 @@ def synth_pink_noise(
     given amplitude so the two generators are interchangeable as noise
     classes.
     """
-    n = _sample_count(duration_s, sample_rate)
+    n = _sample_count(duration_s, sample_rate, amplitude)
     if n < 2:  # the 1/f shaping needs a DC bin and one more
         raise ValueError(
             f"pink noise needs at least 2 samples; {duration_s} s at {sample_rate} Hz "
             f"gives {n}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
     k = np.arange(len(spectrum), dtype=np.float64)

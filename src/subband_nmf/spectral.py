@@ -102,10 +102,12 @@ def _power(values: np.ndarray) -> np.ndarray:
 
 
 def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
-    """Reject a dictionary pair that is not 2-D with `rows` rows, finite and nonnegative."""
+    """Reject a dictionary pair unless 2-D with `rows` rows and some columns, finite and >= 0."""
     for name, w in (("w_speech", w_speech), ("w_noise", w_noise)):
         if w.ndim != 2 or w.shape[0] != rows:
             raise ValueError(f"{where}{name} must have {rows} rows")
+        if w.shape[1] == 0:
+            raise ValueError(f"{where}{name} must have at least one column")
         check_nonneg_matrix(w, f"{where}{name}")
 
 

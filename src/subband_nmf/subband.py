@@ -30,7 +30,7 @@ from .nmf import NmfParams, _reject_overflow
 from .spectral import (
     _check_dictionaries, _check_rate, _check_training_set, _train_pair, separation_gain
 )
-from .wavelets import WaveletFilters, dwpt, idwpt
+from .wavelets import dwpt, get_filters, idwpt
 
 __all__ = [
     "BandModel",
@@ -70,7 +70,7 @@ class SubbandBasisModel:
     def __post_init__(self):
         self.sample_rate = _whole(self.sample_rate, "sample_rate")
         self.level = _whole(self.level, "level")
-        WaveletFilters(self.filter_name)
+        get_filters(self.filter_name)
         n = len(self.per_band)
         # the bit length test keeps a huge level from forming 2**level
         if self.level >= n.bit_length() or n != 2**self.level:
@@ -91,7 +91,7 @@ def train_dwpt_model(
     clean,
     noise,
     level: int,
-    filters: WaveletFilters,
+    filter_name: str,
     spec: FrameSpec,
     speech_params: NmfParams | None = None,
     noise_params: NmfParams | None = None,
@@ -105,8 +105,8 @@ def train_dwpt_model(
     clean samples.
     """
     rate = _check_training_set(clean, noise)
-    clean_sets = [dwpt(s, level, filters) for s in clean]
-    noise_sets = [dwpt(s, level, filters) for s in noise]
+    clean_sets = [dwpt(s, level, filter_name) for s in clean]
+    noise_sets = [dwpt(s, level, filter_name) for s in noise]
     for label, sets in (("clean", clean_sets), ("noise", noise_sets)):
         for i, s in enumerate(sets):
             if s.shape[1] < spec.frame_size:
@@ -124,7 +124,7 @@ def train_dwpt_model(
         )
         sigma = rms(np.concatenate([s[b] for s in clean_sets]))
         bands.append(BandModel(w_speech, w_noise, sigma))
-    return SubbandBasisModel(level, filters.name, spec, bands, rate)
+    return SubbandBasisModel(level, filter_name, spec, bands, rate)
 
 
 @_reject_overflow
@@ -192,7 +192,7 @@ def enhance_subbands(
 def enhance_dwpt(
     noisy: Signal,
     model: SubbandBasisModel,
-    filters: WaveletFilters,
+    filter_name: str,
     params: NmfParams | None = None,
     normalize: bool = True,
 ) -> Signal:
@@ -201,9 +201,9 @@ def enhance_dwpt(
     The input needs more than (frame_size - 1) * 2^level samples, so
     that every subband holds at least one frame.
     """
-    if filters.name != model.filter_name:
+    if filter_name != model.filter_name:
         raise ValueError(
-            f"model was trained with filter '{model.filter_name}', got '{filters.name}'"
+            f"model was trained with filter '{model.filter_name}', got '{filter_name}'"
         )
     _check_rate(model, noisy)
     shortest = (model.frame_spec.frame_size - 1) * model.n_bands + 1
@@ -212,5 +212,5 @@ def enhance_dwpt(
             f"input too short: {len(noisy)} samples, the model needs at least "
             f"{shortest} so that each of its {model.n_bands} subbands holds one frame"
         )
-    enhanced = enhance_subbands(dwpt(noisy, model.level, filters), model, params, normalize)
-    return Signal(idwpt(enhanced, filters, len(noisy)), noisy.sample_rate)
+    enhanced = enhance_subbands(dwpt(noisy, model.level, filter_name), model, params, normalize)
+    return Signal(idwpt(enhanced, filter_name, len(noisy)), noisy.sample_rate)

@@ -9,15 +9,16 @@ length at every split.
 
 The subbands travel as one plain float64 matrix: `dwpt` returns the
 (2^J, band length) matrix with one band per row in natural tree order,
-and `idwpt(bands, filters, length)` merges its rows and keeps the first
-`length` samples.  Splits and merges act on the last axis, so each tree
-level is one call on the whole matrix.
+and `idwpt(bands, filter_name, length)` merges its rows and keeps the
+first `length` samples.  Splits and merges act on the last axis, so each
+tree level is one call on the whole matrix.  A filter bank is named by
+its family, the name a model file stores; each transform looks the taps
+up from that name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,39 +52,24 @@ _SCALING_TAPS = {
 FILTER_NAMES = tuple(_SCALING_TAPS)
 
 
-@dataclass(frozen=True)
-class WaveletFilters:
-    """A shipped two-channel orthonormal filter family: its name fixes its taps.
+def _filter_taps(filter_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A shipped family's (low, high) analysis taps; ValueError for any other name.
 
-    A model file records only the name.  Synthesis uses the analysis taps:
-    with circular extension the bank is exact only when synthesis is the
-    transpose of analysis.
+    Synthesis uses the same taps: with circular extension the bank is
+    exact only when synthesis is the transpose of analysis.
     """
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _SCALING_TAPS:
-            raise ValueError(f"unknown wavelet filter '{self.name}' (choose from {FILTER_NAMES})")
-
-    @property
-    def analysis_low(self) -> np.ndarray:
-        return np.array(_SCALING_TAPS[self.name], dtype=np.float64)
-
-    @property
-    def analysis_high(self) -> np.ndarray:
-        # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
-        low = self.analysis_low
-        return ((-1.0) ** np.arange(len(low))) * low[::-1]
-
-    @property
-    def taps(self) -> int:
-        return len(_SCALING_TAPS[self.name])
+    # a tuple compares by equality, so an unhashable argument is refused too
+    if filter_name not in FILTER_NAMES:
+        raise ValueError(f"unknown wavelet filter '{filter_name}' (choose from {FILTER_NAMES})")
+    low = np.array(_SCALING_TAPS[filter_name], dtype=np.float64)
+    # Quadrature-mirror high-pass: alternate signs on the reversed low-pass.
+    return low, ((-1.0) ** np.arange(len(low))) * low[::-1]
 
 
-def get_filters(name: str) -> WaveletFilters:
-    """Look up a shipped orthonormal filter family by name."""
-    return WaveletFilters(name)
+def get_filters(name: str) -> str:
+    """Return a shipped filter family's name once it is checked; a bank is named by its family."""
+    _filter_taps(name)
+    return name
 
 
 def _band_length(x: np.ndarray) -> int:
@@ -93,49 +79,50 @@ def _band_length(x: np.ndarray) -> int:
     return x.shape[-1]
 
 
-def analysis_split(x: np.ndarray, filters: WaveletFilters):
+def analysis_split(x: np.ndarray, filter_name: str):
     """One circular-convolution analysis step on the last axis: (low, high), each half length.
 
     Output k of each half is the window x[2k : 2k + taps], indices taken
     mod n, against that half's taps.  x is one band or a (rows, n) matrix.
     """
+    low, high = _filter_taps(filter_name)
     x = np.asarray(x, dtype=np.float64)
     n = _band_length(x)
     if n % 2 != 0:
         raise ValueError("length must be even at every level")
-    ext = np.concatenate([x, x[..., np.arange(filters.taps - 1) % n]], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(ext, filters.taps, axis=-1)[..., ::2, :]
-    return windows @ filters.analysis_low, windows @ filters.analysis_high
+    ext = np.concatenate([x, x[..., np.arange(len(low) - 1) % n]], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, len(low), axis=-1)[..., ::2, :]
+    return windows @ low, windows @ high
 
 
-def synthesis_merge(
-    low: np.ndarray, high: np.ndarray, filters: WaveletFilters
-) -> np.ndarray:
+def synthesis_merge(low: np.ndarray, high: np.ndarray, filter_name: str) -> np.ndarray:
     """Inverse of analysis_split, as its transpose, on the last axis.
 
     Tap j sends low[k] and high[k] back to sample (2k + j) mod n, the one
     it was read from.  The taps accumulate into whole periods of n, which
     are then folded, so a band shorter than the filter wraps several times.
     """
+    g, h = _filter_taps(filter_name)
     low = np.asarray(low, dtype=np.float64)
     high = np.asarray(high, dtype=np.float64)
     if low.shape != high.shape:
         raise ValueError("low/high subband shape mismatch")
     n = 2 * _band_length(low)
     # the last tap lands on sample n + taps - 3 before the fold
-    periods = -(-(n + filters.taps - 2) // n)
+    periods = -(-(n + len(g) - 2) // n)
     acc = np.zeros(low.shape[:-1] + (periods * n,))
-    for j, (g, h) in enumerate(zip(filters.analysis_low, filters.analysis_high)):
-        acc[..., j : j + n : 2] += low * g + high * h
+    for j in range(len(g)):
+        acc[..., j : j + n : 2] += low * g[j] + high * h[j]
     return acc.reshape(low.shape[:-1] + (periods, n)).sum(axis=-2)
 
 
-def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
+def dwpt(signal: Signal, level: int, filter_name: str) -> np.ndarray:
     """Full packet decomposition: a (2^level, band length) matrix, one band per row.
 
     The rows are in natural tree order.  The input is zero-padded to the
     next multiple of 2^level; `idwpt` takes the unpadded length back.
     """
+    taps = len(_filter_taps(filter_name)[0])
     level = _whole(level, "level")
     orig = len(signal)
     if orig < 1:
@@ -143,19 +130,19 @@ def dwpt(signal: Signal, level: int, filters: WaveletFilters) -> np.ndarray:
     # every band keeps a sample of the signal (orig >= 2**level, tested on the bit
     # length so that a huge level never forms its power) and the last split's
     # 2 * ceil(orig / 2**level) samples span the filter
-    if level >= orig.bit_length() or 2 * -(-orig >> level) < filters.taps:
+    if level >= orig.bit_length() or 2 * -(-orig >> level) < taps:
         raise ValueError(
             f"level {_shown(level)} too deep: a length-{orig} signal leaves less than "
-            f"one {filters.taps}-tap filter span at the final split"
+            f"one {taps}-tap filter span at the final split"
         )
     bands = np.concatenate([signal.samples, np.zeros(-orig % (1 << level))])[None, :]
     for _ in range(level):
         # each row becomes its low band followed by its high band
-        bands = np.stack(analysis_split(bands, filters), axis=1).reshape(2 * len(bands), -1)
+        bands = np.stack(analysis_split(bands, filter_name), axis=1).reshape(2 * len(bands), -1)
     return bands
 
 
-def idwpt(bands: np.ndarray, filters: WaveletFilters, length: int) -> np.ndarray:
+def idwpt(bands: np.ndarray, filter_name: str, length: int) -> np.ndarray:
     """Merge the rows of a `dwpt` matrix back up the tree; keep `length` samples.
 
     Only the shape is checked: 2-D with a power-of-two row count of at
@@ -171,5 +158,5 @@ def idwpt(bands: np.ndarray, filters: WaveletFilters, length: int) -> np.ndarray
     if length > bands.size:
         raise ValueError(f"length must be in [1, {bands.size}], got {length}")
     while len(bands) > 1:
-        bands = synthesis_merge(bands[0::2], bands[1::2], filters)
+        bands = synthesis_merge(bands[0::2], bands[1::2], filter_name)
     return bands[0][:length]

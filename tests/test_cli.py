@@ -382,6 +382,32 @@ def test_eval_reports_length_mismatch(corpus, capsys):
     assert "length mismatch" in capsys.readouterr().err
 
 
+def test_eval_reports_an_unreadable_file_and_goes_on(corpus, capsys, monkeypatch):
+    # as in `enhance`, a file that cannot be read costs only its own row
+    refs, tests = corpus / "refs", corpus / "tests"
+    refs.mkdir()
+    tests.mkdir()
+    for name in ("a.wav", "b.wav", "c.wav"):
+        write_wav(refs / name, read_wav(corpus / "clean.wav")[0])
+        write_wav(tests / name, read_wav(corpus / "noisy.wav")[0])
+    read = cli.read_wav
+
+    def read_all_but_b(path):
+        if path == tests / "b.wav":
+            raise PermissionError("permission denied")
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_wav", read_all_but_b)
+    assert run(["eval", "--reference", refs, "--test", tests]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("file=")] == [
+        f"file={tests / 'a.wav'}", f"file={tests / 'c.wav'}"]
+    assert captured.err.splitlines() == [
+        f"error: {tests / 'b.wav'}: permission denied",
+        "error: 1 of 3 inputs failed",
+    ]
+
+
 def test_roundtrip_command(corpus, capsys):
     assert run(["roundtrip", "--in", corpus / "clean.wav", "--transform", "dwpt",
                 "--level", "3", "--filter", "db8"]) == 0
@@ -536,8 +562,7 @@ def test_train_and_enhance_defaults(corpus, monkeypatch, method):
         assert seen["rest"] == ()
     else:
         assert seen["spec"] == FrameSpec(defaults.DWPT_FRAME_SIZE, defaults.DWPT_FRAME_SHIFT)
-        level, filters = seen["rest"]
-        assert (level, filters.name) == (defaults.DWPT_LEVEL, defaults.DEFAULT_FILTER)
+        assert seen["rest"] == (defaults.DWPT_LEVEL, defaults.DEFAULT_FILTER)
     assert seen["speech"] == NmfParams(defaults.SPEECH_RANK, defaults.TRAIN_ITERS,
                                        defaults.DEFAULT_SEED)
     assert seen["noise"] == NmfParams(defaults.NOISE_RANK, defaults.TRAIN_ITERS,

@@ -172,6 +172,43 @@ def test_every_generator_rejects_a_bad_duration(duration_s):
             make()
 
 
+def _every_generator(sample_rate=8000, seed=0, amplitude=0.5):
+    return [
+        lambda: synth_tone(100.0, 0.5, sample_rate, amplitude),
+        lambda: synth_sweep(0.5, sample_rate, seed, amplitude),
+        lambda: synth_white_noise(0.5, sample_rate, seed, amplitude),
+        lambda: synth_pink_noise(0.5, sample_rate, seed, amplitude),
+    ]
+
+
+@pytest.mark.parametrize("sample_rate", [-8000, 0, 8000.5, "8000"])
+def test_every_generator_rejects_a_bad_sample_rate(sample_rate):
+    for make in _every_generator(sample_rate=sample_rate):
+        with pytest.raises(ValueError, match="^sample_rate must be a positive whole number"):
+            make()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_every_seeded_generator_rejects_a_bad_seed(seed):
+    for make in _every_generator(seed=seed)[1:]:
+        with pytest.raises(ValueError, match="^seed must be a nonnegative whole number"):
+            make()
+
+
+@pytest.mark.parametrize("amplitude", [float("inf"), -float("inf"), float("nan")])
+def test_every_generator_rejects_a_non_finite_amplitude(amplitude):
+    for make in _every_generator(amplitude=amplitude):
+        with pytest.raises(ValueError, match="^amplitude must be finite"):
+            make()
+
+
+def test_whole_float_rate_and_seed_give_the_same_samples():
+    for as_float, as_int in zip(_every_generator(8000.0, 3.0), _every_generator(8000, 3)):
+        a, b = as_float(), as_int()
+        assert a.sample_rate == b.sample_rate == 8000
+        np.testing.assert_array_equal(a.samples, b.samples)
+
+
 def test_sweep_rounds_its_sample_count():
     # 2.01 * 8000 is 16079.999999999998 in floating point, which int() truncated
     assert len(synth_sweep(2.01, 8000)) == len(synth_white_noise(2.01, 8000)) == 16080

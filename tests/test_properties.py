@@ -54,7 +54,7 @@ def models():
 
 def front_ends():
     dwpt_model, stft_model = models()
-    return (functools.partial(enhance_dwpt, model=dwpt_model, filters=FILTERS, params=ENCODE),
+    return (functools.partial(enhance_dwpt, model=dwpt_model, filter_name=FILTERS, params=ENCODE),
             functools.partial(enhance_stft, model=stft_model, params=ENCODE))
 
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subband_nmf import (
+    BandModel,
     FrameSpec,
     NmfParams,
     Signal,
     StftBasisModel,
+    SubbandBasisModel,
     enhance_stft,
     istft,
     mix_at_snr,
@@ -204,6 +206,17 @@ def test_model_validation():
         StftBasisModel(np.ones((5, 2)), np.ones((9, 2)), spec, sample_rate=8000)
     with pytest.raises(ValueError, match="nonnegative"):
         StftBasisModel(-np.ones((9, 2)), np.ones((9, 2)), spec, sample_rate=8000)
+
+
+def test_models_reject_a_dictionary_without_columns():
+    # such a model enhanced to silence and was saved to a file load_model refused
+    with pytest.raises(ValueError, match="^w_speech must have at least one column$"):
+        StftBasisModel(np.ones((9, 0)), np.ones((9, 2)), FrameSpec(16, 4), 8000)
+    with pytest.raises(ValueError, match="^band 1 w_noise must have at least one column$"):
+        SubbandBasisModel(1, "db8", FrameSpec(16, 4), [
+            BandModel(np.ones((16, 2)), np.ones((16, 2)), 1.0),
+            BandModel(np.ones((16, 2)), np.ones((16, 0)), 1.0),
+        ], 8000)
 
 
 def test_train_on_sinusoid_concentrates_dictionary():
