@@ -12,6 +12,7 @@ always makes a batch: each output goes to `<out>/<name>`.
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -26,7 +27,7 @@ from .framing import FrameSpec
 from .metrics import MetricReport, evaluate
 from .mixing import MixSpec, mix_at_snr
 from .model_io import load_model, save_model
-from .nmf import NmfParams
+from .nmf import NmfParams, _blas_threads_api
 from .spectral import StftBasisModel, enhance_stft, istft, stft, train_stft_model
 from .subband import enhance_dwpt, train_dwpt_model
 from .wav_io import read_wav, write_wav
@@ -93,6 +94,24 @@ def _set_enhancer(enhance):
     _enhancer = enhance
 
 
+# Variables through which a caller sets the BLAS thread count itself
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _start_worker(enhance, workers):
+    """Pool initializer: `_set_enhancer`, and share the cores among the workers' BLAS.
+
+    A forked worker keeps the parent's BLAS thread count, so `workers`
+    of them would run workers x that many threads.  Each gets
+    cpu_count // workers instead, unless the caller set the count in one
+    of _BLAS_THREAD_VARS or no thread-count setter is found.
+    """
+    api = _blas_threads_api()
+    if api is not None and not any(name in os.environ for name in _BLAS_THREAD_VARS):
+        api[1](max(1, (os.cpu_count() or 1) // workers))
+    _set_enhancer(enhance)
+
+
 def _enhance_one(task):
     in_path, out_path = task
     write_wav(out_path, _enhancer(read_wav(in_path)[0]))
@@ -132,8 +151,9 @@ def cmd_enhance(args) -> int:
     if parallel:
         # the pool starts all its workers at the first submit, so start no
         # more than there are files
-        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks)),
-                                   initializer=_set_enhancer, initargs=(enhance,))
+        workers = min(args.jobs, len(tasks))
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_start_worker, initargs=(enhance, workers))
     else:
         _set_enhancer(enhance)
         pool = nullcontext()

@@ -29,8 +29,8 @@ class MixSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        if not _is_finite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
         object.__setattr__(self, "seed", _whole(self.seed, "seed", 0))
 
 
@@ -62,18 +62,26 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     return Signal(clean.samples + alpha * segment, clean.sample_rate)
 
 
+def _is_finite(value) -> bool:
+    """Whether value is one finite number; False for "1", None or a list."""
+    try:
+        return np.ndim(value) == 0 and bool(np.isfinite(value))
+    except TypeError:
+        return False
+
+
 def _sample_count(duration_s: float, sample_rate: int, amplitude: float) -> int:
     """duration_s * sample_rate rounded to a whole sample count.
 
     Every generator starts here, so the arguments they share are checked
     once: ValueError unless the rate is a positive whole number, the
-    duration finite and >= 0, and the amplitude finite.
+    duration a finite number >= 0, and the amplitude a finite number.
     """
     sample_rate = _whole(sample_rate, "sample_rate")
-    if not (np.isfinite(duration_s) and duration_s >= 0):
-        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s}")
-    if not np.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if not (_is_finite(duration_s) and duration_s >= 0):
+        raise ValueError(f"duration_s must be finite and nonnegative, got {duration_s!r}")
+    if not _is_finite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
     return int(round(duration_s * sample_rate))
 
 
@@ -82,9 +90,9 @@ def synth_tone(
 ) -> Signal:
     """Pure sinusoid; freq must sit below the Nyquist rate."""
     n = _sample_count(duration_s, sample_rate, amplitude)
-    if not 0.0 < freq_hz < sample_rate / 2.0:
+    if not (_is_finite(freq_hz) and 0.0 < freq_hz < sample_rate / 2.0):
         raise ValueError(
-            f"tone frequency {freq_hz} Hz outside (0, {sample_rate / 2.0}) Hz"
+            f"tone frequency {freq_hz!r} Hz outside (0, {sample_rate / 2.0}) Hz"
         )
     t = np.arange(n) / sample_rate
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * t), sample_rate)

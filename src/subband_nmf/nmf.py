@@ -11,9 +11,19 @@ is expanded as ||V||^2 - 2<W^T V, H> + <W^T W, H H^T> (Frobenius inner
 products), whose r x n and r x r products the multiplicative updates form
 anyway, and clamped at 0 because the expansion can cancel to a tiny
 negative value when the fit is exact.
+
+An enhancement call runs every matrix product at one BLAS thread
+(`_one_blas_thread`) and spreads its independent work, the subbands or
+column blocks of H, over as many Python threads as BLAS had
+(`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc loops.
 """
 
+import contextvars
+import ctypes
 import functools
+import glob
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +121,121 @@ def _reject_overflow(fn):
     return guarded
 
 
+# (get, set) thread-count symbols of the OpenBLAS builds numpy bundles, newest first
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads_api():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                              "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# Inside an enhancement call, `_local.threads` is how many threads this
+# thread may spread its work over: the BLAS count on entry, or 1 in a tile.
+_local = threading.local()
+# BLAS stays at one thread while any thread is inside a call; the last one
+# out restores the count the first one in saved.  The count is one per
+# process, so this state is too.
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "saved": 1}
+
+
+def _threads() -> int:
+    """The threads the current call may spread its work over; 1 outside a call."""
+    return getattr(_local, "threads", 1)
+
+
+def _one_blas_thread(fn):
+    """Run fn with BLAS at one thread, and `_threads()` at the count BLAS had.
+
+    A nested call runs inside its caller's region.  Concurrent callers
+    share one saved count, restored by the last one out, on return and
+    on raise.  Without a thread-count setter nothing changes and
+    `_threads()` stays 1.
+    """
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        api = None if hasattr(_local, "threads") else _blas_threads_api()
+        if api is None:
+            return fn(*args, **kwargs)
+        get, set_ = api
+        with _pin_lock:
+            if _pin["depth"] == 0:
+                _pin["saved"] = get()
+                if _pin["saved"] != 1:
+                    set_(1)
+            _pin["depth"] += 1
+            _local.threads = _pin["saved"]
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            del _local.threads
+            with _pin_lock:
+                _pin["depth"] -= 1
+                if _pin["depth"] == 0 and _pin["saved"] != 1:
+                    set_(_pin["saved"])
+
+    return pinned
+
+
+def _run_tiles(fn, tiles: int) -> None:
+    """Call fn(i) for every i < tiles over min(_threads(), tiles) threads.
+
+    The calling thread is one of them and takes tiles 0, count, 2 count,
+    ...; each helper takes its own stride of tiles in a copy of the
+    caller's context, so numpy's errstate (a context variable) holds
+    there too.  Inside a tile `_threads()` is 1.  Every helper is joined
+    before this returns, and the first exception a tile raised is
+    re-raised.
+    """
+    count = min(_threads(), tiles)
+    if count <= 1:
+        for i in range(tiles):
+            fn(i)
+        return
+    errors = []
+
+    def work(first):
+        _local.threads = 1
+        try:
+            for i in range(first, tiles, count):
+                fn(i)
+        except BaseException as e:  # re-raised in the calling thread
+            errors.append(e)
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work, first))
+               for first in range(1, count)]
+    for helper in helpers:
+        helper.start()
+    budget = _local.threads
+    try:
+        work(0)
+    finally:
+        _local.threads = budget
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     """Factor v ≈ W H with alternating multiplicative updates.
 
@@ -157,6 +282,11 @@ def encode(
     column count (params.rank is ignored here).  Pass a list as
     objective_trace to collect the per-iteration objective, formed like
     `factorize`'s from the fixed W^T V and W^T W and each sweep's H H^T.
+
+    W^T V, W^T W and the seeded initial H are formed whole.  The sweeps
+    update each column on its own, so inside an enhancement call they run
+    on `_threads()` contiguous column blocks side by side.  Outside one,
+    or with an objective trace, the one block is the whole matrix.
     """
     v = check_nonneg_matrix(v, "v")
     w_fixed = check_nonneg_matrix(w_fixed, "w_fixed")
@@ -164,16 +294,27 @@ def encode(
         raise ValueError(
             f"row mismatch: v has {v.shape[0]} rows, w_fixed has {w_fixed.shape[0]}"
         )
+    n = v.shape[1]
     rng = np.random.default_rng(params.seed)
-    h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], v.shape[1]))
+    h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n))
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     v_sq = float(np.sum(v * v)) if objective_trace is not None else 0.0
-    h_next = np.empty_like(h)
-    for _ in range(params.max_iters):
-        h, h_next = _update_h(wt_v, gram, h, h_next), h
-        if objective_trace is not None:
-            objective_trace.append(_objective(v_sq, wt_v, gram, h, h @ h.T))
+    blocks = 1 if objective_trace is not None else min(_threads(), n)
+
+    def sweep(i):
+        cols = slice(n * i // blocks, n * (i + 1) // blocks)
+        # a block narrower than H is copied: ufuncs on a column slice of a
+        # row-major matrix measured at half speed
+        wt_v_b, h_b = np.ascontiguousarray(wt_v[:, cols]), np.ascontiguousarray(h[:, cols])
+        h_b_next = np.empty_like(h_b)
+        for _ in range(params.max_iters):
+            h_b, h_b_next = _update_h(wt_v_b, gram, h_b, h_b_next), h_b
+            if objective_trace is not None:
+                objective_trace.append(_objective(v_sq, wt_v_b, gram, h_b, h_b @ h_b.T))
+        h[:, cols] = h_b
+
+    _run_tiles(sweep, blocks)
     return h
 
 

@@ -22,7 +22,9 @@ from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
     FrameSpec, Signal, _overlap_sum, _whole, check_nonneg_matrix, frame_signal
 )
-from .nmf import NmfParams, _reject_overflow, encode, factorize, split_reconstruction
+from .nmf import (
+    NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
+)
 
 __all__ = [
     "StftBasisModel",
@@ -200,10 +202,24 @@ def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
     Allocates one float64 output buffer and forms the sum, floor, quotient
     and clip in it; the inputs are only read.
     """
-    gain = np.add(speech_part, noise_part, dtype=np.float64)
-    np.maximum(gain, EPSILON, out=gain)
-    np.divide(speech_part, gain, out=gain)
-    return np.clip(gain, 0.0, 1.0, out=gain)
+    return _ratio_of_total(speech_part, np.add(speech_part, noise_part, dtype=np.float64))
+
+
+def _ratio_of_total(speech_part: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """`wiener_gain` from the class sum, formed over `total` and returned."""
+    np.maximum(total, EPSILON, out=total)
+    np.divide(speech_part, total, out=total)
+    return np.clip(total, 0.0, 1.0, out=total)
+
+
+def _encode_stacked(
+    v: np.ndarray, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None
+) -> np.ndarray:
+    """Activations of v against the stacked [w_s w_n], by default with ENCODE_ITERS sweeps."""
+    w_stack = np.hstack([w_s, w_n])
+    if params is None:
+        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
+    return encode(v, w_stack, params)
 
 
 @_reject_overflow
@@ -218,22 +234,21 @@ def separation_gain(
     anywhere on the way raises "input level too high"; without one the
     gain is finite, since every denominator is floored at EPSILON.
     """
-    w_stack = np.hstack([w_s, w_n])
-    if params is None:
-        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
-    h = encode(v, w_stack, params)
-    speech_part, noise_part = split_reconstruction(w_s, w_n, h)
+    speech_part, noise_part = split_reconstruction(w_s, w_n, _encode_stacked(v, w_s, w_n, params))
     return wiener_gain(speech_part, noise_part)
 
 
 @_reject_overflow
+@_one_blas_thread
 def enhance_stft(
     noisy: Signal, model: StftBasisModel, params: NmfParams | None = None
 ) -> Signal:
     """Suppress noise in a signal using a trained spectral model.
 
     The `separation_gain` of the noisy feature matrix multiplies the
-    magnitudes directly while the phase rides along unchanged.
+    magnitudes directly while the phase rides along unchanged.  Every
+    matrix product runs at one BLAS thread, and the encoding sweeps run
+    on column blocks over the threads BLAS had (`nmf._one_blas_thread`).
     """
     _check_rate(model, noisy)
     values = stft(noisy, model.frame_spec)

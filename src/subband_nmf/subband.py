@@ -5,9 +5,9 @@ packet tree.  Each band gets its own pair of dictionaries trained on
 squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
 rms before the inverse transform stitches the bands together.  The ratio
-gain of each band comes from `spectral.separation_gain`, the back end the
-STFT baseline uses too, and its dictionaries from `spectral._train_pair`,
-the shared training half.
+gain of each band is `spectral.separation_gain`'s, the back end the STFT
+baseline uses too, formed from the same encoding and split, and its
+dictionaries come from `spectral._train_pair`, the shared training half.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,16 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import NmfParams, _reject_overflow
+from .nmf import (
+    NmfParams, _one_blas_thread, _reject_overflow, _run_tiles, split_reconstruction
+)
 from .spectral import (
-    _check_dictionaries, _check_rate, _check_training_set, _train_pair, separation_gain
+    _check_dictionaries,
+    _check_rate,
+    _check_training_set,
+    _encode_stacked,
+    _ratio_of_total,
+    _train_pair,
 )
 from .wavelets import dwpt, get_filters, idwpt
 
@@ -141,10 +148,15 @@ def subband_gain(
     de-framed by averaging overlap-add.  Samples past the last full
     frame keep the final de-framed value.  The band is squared before it
     is framed, which gives the same matrix because framing only copies.
+    The frame matrix is a temporary freed once encoded, and the ratio gain
+    is formed in the noise reconstruction's buffer, so a band holds two
+    frame-sized matrices at most, not four.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    v = frame_signal(square_elementwise(s_b), spec)
-    gain_mat = separation_gain(v, w_s, w_n, params)
+    h = _encode_stacked(frame_signal(square_elementwise(s_b), spec), w_s, w_n, params)
+    speech_part, gain_mat = split_reconstruction(w_s, w_n, h)
+    _ratio_of_total(speech_part, np.add(speech_part, gain_mat, out=gain_mat))
+    del speech_part
     g = overlap_add(np.sqrt(gain_mat, out=gain_mat), spec, len(s_b))
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):
@@ -155,6 +167,7 @@ def subband_gain(
 
 
 @_reject_overflow
+@_one_blas_thread
 def enhance_subbands(
     bands: np.ndarray,
     model: SubbandBasisModel,
@@ -167,7 +180,9 @@ def enhance_subbands(
     enhanced band to its clean-training rms, so a band whose rms is zero
     comes out silent.  Only the shape
     is checked: one row per model band, each holding at least one frame
-    of the model's frame size.
+    of the model's frame size.  The bands are enhanced side by side, one
+    per thread BLAS had, each at one BLAS thread (`nmf._one_blas_thread`);
+    a band's bytes do not depend on the thread count.
     """
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 2 or len(bands) != model.n_bands:
@@ -181,14 +196,19 @@ def enhance_subbands(
             f"frame size is {model.frame_spec.frame_size}"
         )
     out = np.empty_like(bands)
-    for band, bm, shat in zip(bands, model.per_band, out):
+
+    def enhance_band(b):
+        band, bm, shat = bands[b], model.per_band[b], out[b]
         shat[:] = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
         if normalize:
             shat *= bm.sigma_clean / max(rms(shat), EPSILON)
+
+    _run_tiles(enhance_band, len(bands))
     return out
 
 
 @_reject_overflow
+@_one_blas_thread
 def enhance_dwpt(
     noisy: Signal,
     model: SubbandBasisModel,

@@ -202,6 +202,38 @@ def test_every_generator_rejects_a_non_finite_amplitude(amplitude):
             make()
 
 
+def test_mix_spec_rejects_a_non_number_snr():
+    with pytest.raises(ValueError, match="^snr_db must be finite, got '5'"):
+        MixSpec("5")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_tone(100.0, "1", 8000),
+    lambda: synth_sweep("1", 8000),
+    lambda: synth_white_noise("1", 8000),
+    lambda: synth_pink_noise(None, 8000),
+], ids=["tone", "sweep", "white", "pink"])
+def test_every_generator_rejects_a_non_number_duration(make):
+    with pytest.raises(ValueError, match="^duration_s must be finite and nonnegative, got "):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: synth_tone(100.0, 0.5, 8000, "0.5"),
+    lambda: synth_sweep(0.5, 8000, 0, "0.5"),
+    lambda: synth_white_noise(0.5, 8000, 0, "0.5"),
+    lambda: synth_pink_noise(0.5, 8000, 0, [0.5, 0.5]),
+], ids=["tone", "sweep", "white", "pink"])
+def test_every_generator_rejects_a_non_number_amplitude(make):
+    with pytest.raises(ValueError, match="^amplitude must be finite, got "):
+        make()
+
+
+def test_tone_rejects_a_non_number_frequency():
+    with pytest.raises(ValueError, match="^tone frequency '100' Hz outside"):
+        synth_tone("100", 0.5, 8000)
+
+
 def test_whole_float_rate_and_seed_give_the_same_samples():
     for as_float, as_int in zip(_every_generator(8000.0, 3.0), _every_generator(8000, 3)):
         a, b = as_float(), as_int()
