@@ -11,7 +11,6 @@ from .spectral import (
     StftBasisModel,
     enhance_stft,
     istft,
-    separation_gain,
     stft,
     train_stft_model,
     wiener_gain,
@@ -60,7 +59,6 @@ __all__ = [
     "read_wav",
     "save_model",
     "sdi",
-    "separation_gain",
     "split_reconstruction",
     "ssnr",
     "stft",

@@ -7,11 +7,12 @@ weighted overlap-add resynthesis.  The spectrogram is a plain complex
 matrix: `stft` returns it (bins x frames) and `istft(values, spec,
 target_len)` checks its shape and finiteness before inverting it.
 
-`separation_gain` is the back end both front ends share: encode a
-feature matrix against the stacked [W_S W_N], split the reconstruction
-by class and form the ratio gain.  The subband front end calls it once
-per band on squared frame matrices.  `_train_pair` is the training half
-they share, run after `_check_training_set` has checked the training set.
+`_class_parts` is the back end both front ends share: build a feature
+matrix, encode it against the stacked [W_S W_N] and split the
+reconstruction by class, from which each forms the ratio gain.  The
+subband front end calls it once per band on squared frame matrices.
+`_train_pair` is the training half they share, run once the training set
+is checked (`_check_training_set`, `_check_lengths`).
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ __all__ = [
     "StftBasisModel",
     "enhance_stft",
     "istft",
-    "separation_gain",
     "stft",
     "train_stft_model",
     "wiener_gain",
@@ -154,21 +154,32 @@ def _check_training_set(clean, noise) -> int:
     return rates.pop()
 
 
+def _check_lengths(clean, noise, frame_size, length=len, what="it has"):
+    """Reject an item whose `length` is under one frame, naming its class and index."""
+    for label, items in (("clean", clean), ("noise", noise)):
+        for i, n in enumerate(map(length, items)):
+            if n < frame_size:
+                raise ValueError(f"{label} utterance {i} too short: {what} {n} samples, "
+                                 f"frame size is {frame_size}")
+
+
 def _train_pair(clean, noise, features, speech_params, noise_params):
     """The speech and noise dictionaries learned from one feature space.
 
     The `features(item)` matrices of each class are concatenated
     column-wise and factorized, clean first (by default at SPEECH_RANK and
-    NOISE_RANK); only the dictionary factors are kept.  This is the
-    training twin of `separation_gain`.
+    NOISE_RANK); only the dictionary factors are kept.  Each matrix dies
+    when its `factorize` returns, before the next class's is built.  This
+    is the training twin of `_class_parts`.
     """
     if speech_params is None:
         speech_params = NmfParams(rank=SPEECH_RANK)
     if noise_params is None:
         noise_params = NmfParams(rank=NOISE_RANK)
-    v_clean = np.hstack([features(item) for item in clean])
-    v_noise = np.hstack([features(item) for item in noise])
-    return factorize(v_clean, speech_params).w, factorize(v_noise, noise_params).w
+    return tuple(
+        factorize(np.hstack([features(item) for item in items]), params).w
+        for items, params in ((clean, speech_params), (noise, noise_params))
+    )
 
 
 @_reject_overflow
@@ -185,11 +196,12 @@ def train_stft_model(
     """Learn one power-spectrum dictionary per class from labeled signals.
 
     `window_name` and `feature_kind` accept only "hamming" and "power".
-    The training set is checked first (`_check_training_set`); then
-    `_train_pair` factorizes each class's power spectra.
+    The training set is checked first (`_check_training_set`,
+    `_check_lengths`); then `_train_pair` factorizes each class's power spectra.
     """
     _check_analysis(window_name, feature_kind)
     rate = _check_training_set(clean, noise)
+    _check_lengths(clean, noise, spec.frame_size)
     w_speech, w_noise = _train_pair(
         clean, noise, lambda s: _power(stft(s, spec)), speech_params, noise_params
     )
@@ -212,30 +224,16 @@ def _ratio_of_total(speech_part: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.clip(total, 0.0, 1.0, out=total)
 
 
-def _encode_stacked(
-    v: np.ndarray, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None
-) -> np.ndarray:
-    """Activations of v against the stacked [w_s w_n], by default with ENCODE_ITERS sweeps."""
-    w_stack = np.hstack([w_s, w_n])
-    if params is None:
-        params = NmfParams(rank=w_stack.shape[1], max_iters=ENCODE_ITERS)
-    return encode(v, w_stack, params)
+def _class_parts(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None):
+    """The speech and noise reconstructions of the feature matrix `features()`.
 
-
-@_reject_overflow
-def separation_gain(
-    v: np.ndarray, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None = None
-) -> np.ndarray:
-    """Ratio gain of the speech class for every entry of a feature matrix.
-
-    v is encoded against the stacked dictionary [w_s w_n] (by default
-    with ENCODE_ITERS sweeps), the encoding is split into the two class
-    reconstructions, and `wiener_gain` of those is returned.  An overflow
-    anywhere on the way raises "input level too high"; without one the
-    gain is finite, since every denominator is floored at EPSILON.
+    It is encoded against the stacked [w_s w_n] (by default with
+    ENCODE_ITERS sweeps), and the encoding is split by class.  The matrix
+    and the stack die when `encode` returns, before the split allocates.
     """
-    speech_part, noise_part = split_reconstruction(w_s, w_n, _encode_stacked(v, w_s, w_n, params))
-    return wiener_gain(speech_part, noise_part)
+    if params is None:
+        params = NmfParams(rank=w_s.shape[1] + w_n.shape[1], max_iters=ENCODE_ITERS)
+    return split_reconstruction(w_s, w_n, encode(features(), np.hstack([w_s, w_n]), params))
 
 
 @_reject_overflow
@@ -245,12 +243,14 @@ def enhance_stft(
 ) -> Signal:
     """Suppress noise in a signal using a trained spectral model.
 
-    The `separation_gain` of the noisy feature matrix multiplies the
-    magnitudes directly while the phase rides along unchanged.  Every
+    The `wiener_gain` of the power spectrum's `_class_parts` multiplies
+    the magnitudes directly while the phase rides along unchanged.  Every
     matrix product runs at one BLAS thread, and the encoding sweeps run
     on column blocks over the threads BLAS had (`nmf._one_blas_thread`).
     """
     _check_rate(model, noisy)
     values = stft(noisy, model.frame_spec)
-    values *= separation_gain(_power(values), model.w_speech, model.w_noise, params)
+    values *= wiener_gain(
+        *_class_parts(lambda: _power(values), model.w_speech, model.w_noise, params)
+    )
     return Signal(istft(values, model.frame_spec, len(noisy.samples)), noisy.sample_rate)

@@ -4,10 +4,10 @@ The signal is split into 2^J time-domain subband sequences by a wavelet
 packet tree.  Each band gets its own pair of dictionaries trained on
 squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
-rms before the inverse transform stitches the bands together.  The ratio
-gain of each band is `spectral.separation_gain`'s, the back end the STFT
-baseline uses too, formed from the same encoding and split, and its
-dictionaries come from `spectral._train_pair`, the shared training half.
+rms before the inverse transform stitches the bands together.  Each
+band's encoding and split come from `spectral._class_parts`, the back end
+the STFT baseline uses too, and its dictionaries from
+`spectral._train_pair`, the shared training half.
 """
 
 from dataclasses import dataclass
@@ -26,14 +26,13 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import (
-    NmfParams, _one_blas_thread, _reject_overflow, _run_tiles, split_reconstruction
-)
+from .nmf import NmfParams, _one_blas_thread, _reject_overflow, _run_tiles
 from .spectral import (
     _check_dictionaries,
+    _check_lengths,
     _check_rate,
     _check_training_set,
-    _encode_stacked,
+    _class_parts,
     _ratio_of_total,
     _train_pair,
 )
@@ -105,22 +104,18 @@ def train_dwpt_model(
 ) -> SubbandBasisModel:
     """Learn per-band dictionaries from labeled time-domain signals.
 
-    The training set is checked first (`_check_training_set`).  Then, for
-    every band, `_train_pair` learns the pair from each class's squared
-    frame matrices; each band is squared before it is framed, as in
-    `subband_gain`.  sigma_clean is the rms over the band's concatenated
-    clean samples.
+    The training set is checked first (`_check_training_set`, then
+    `_check_lengths` on the subbands).  Then, for every band, `_train_pair`
+    learns the pair from each class's squared frame matrices; each band is
+    squared before it is framed, as in `subband_gain`.  sigma_clean is the
+    rms over the band's concatenated clean samples.
     """
     rate = _check_training_set(clean, noise)
     clean_sets = [dwpt(s, level, filter_name) for s in clean]
     noise_sets = [dwpt(s, level, filter_name) for s in noise]
-    for label, sets in (("clean", clean_sets), ("noise", noise_sets)):
-        for i, s in enumerate(sets):
-            if s.shape[1] < spec.frame_size:
-                raise ValueError(
-                    f"{label} utterance {i} too short: subband 0 has "
-                    f"{s.shape[1]} samples, frame size is {spec.frame_size}"
-                )
+    _check_lengths(
+        clean_sets, noise_sets, spec.frame_size, lambda s: s.shape[1], "subband 0 has"
+    )
     bands = []
     for b in range(len(clean_sets[0])):
         # called within this iteration, so the closure sees this band's b
@@ -144,17 +139,19 @@ def subband_gain(
 ) -> np.ndarray:
     """Per-sample suppression gain in [0, 1] for one subband sequence.
 
-    The square root of `separation_gain` on the squared frame matrix is
-    de-framed by averaging overlap-add.  Samples past the last full
-    frame keep the final de-framed value.  The band is squared before it
-    is framed, which gives the same matrix because framing only copies.
-    The frame matrix is a temporary freed once encoded, and the ratio gain
-    is formed in the noise reconstruction's buffer, so a band holds two
+    The squared frame matrix's `_class_parts` give the ratio gain
+    speech/(speech+noise), floored and clipped as in `wiener_gain`, whose
+    square root is de-framed by averaging overlap-add.  Samples past the
+    last full frame keep the final de-framed value.  The band is squared
+    before it is framed, which gives the same matrix because framing only
+    copies.  The frame matrix dies once encoded, and the ratio gain is
+    formed in the noise reconstruction's buffer, so a band holds two
     frame-sized matrices at most, not four.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    h = _encode_stacked(frame_signal(square_elementwise(s_b), spec), w_s, w_n, params)
-    speech_part, gain_mat = split_reconstruction(w_s, w_n, h)
+    speech_part, gain_mat = _class_parts(
+        lambda: frame_signal(square_elementwise(s_b), spec), w_s, w_n, params
+    )
     _ratio_of_total(speech_part, np.add(speech_part, gain_mat, out=gain_mat))
     del speech_part
     g = overlap_add(np.sqrt(gain_mat, out=gain_mat), spec, len(s_b))

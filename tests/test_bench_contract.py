@@ -6,6 +6,9 @@ The traced runs report per-layer metrics named `<module>.<function>.*`
 traced run; these checks catch it without running the benchmark.  The
 workloads' two trainer calls run on a small corpus, so that a changed
 trainer signature fails here too, not only in perfbench/test_bench.py.
+A tiny traced run through every layer must observe every function the
+metrics name, so that a refactor which takes one off every call path
+fails here in seconds rather than in the benchmark's own tests.
 """
 
 import importlib
@@ -81,3 +84,30 @@ def test_workload_trainers_run(front_end):
     assert model.sample_rate == WORKLOADS.RATE
     expected = {"stft": snm.StftBasisModel, "dwpt": snm.SubbandBasisModel}[front_end]
     assert isinstance(model, expected)
+
+
+def test_every_function_metric_is_observed_on_a_tiny_run(tmp_path):
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        clean = [snm.synth_sweep(0.5, 8000)]
+        noise = [snm.synth_white_noise(0.5, 8000)]
+        train = dict(speech_params=snm.NmfParams(2, 2), noise_params=snm.NmfParams(2, 2))
+        models = {
+            "dwpt": snm.train_dwpt_model(clean, noise, 2, "db4", snm.FrameSpec(32, 8), **train),
+            "stft": snm.train_stft_model(clean, noise, snm.FrameSpec(64, 16), **train),
+        }
+        snm.write_wav(tmp_path / "noisy.wav", snm.mix_at_snr(clean[0], noise[0], snm.MixSpec(5.0)))
+        noisy = snm.read_wav(tmp_path / "noisy.wav")[0]
+        for kind, model in models.items():
+            snm.save_model(model, tmp_path / f"{kind}.snm")
+            model = snm.load_model(tmp_path / f"{kind}.snm")
+            if kind == "dwpt":
+                out = snm.enhance_dwpt(noisy, model, "db4", snm.NmfParams(4, 2))
+            else:
+                out = snm.enhance_stft(noisy, model, snm.NmfParams(4, 2))
+            snm.evaluate(clean[0], out)
+    finally:
+        tracer.uninstall()
+    observed = {span[0] for span in tracer.spans}
+    assert [name for name in FUNCTION_METRICS if name not in observed] == []

@@ -1,0 +1,93 @@
+"""Feature matrices die when the NMF that reads them returns.
+
+Enhancement builds each feature matrix inside the shared gain core, so
+the matrix and the stacked dictionary are freed before the split
+allocates the two class reconstructions.  Training builds and factorizes
+one class before it builds the next.  The peaks are tracemalloc's, which
+sees every numpy buffer and none of BLAS's own.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from subband_nmf import (
+    FrameSpec,
+    NmfParams,
+    subband_gain,
+    synth_white_noise,
+    train_dwpt_model,
+    train_stft_model,
+)
+from subband_nmf import spectral
+from subband_nmf.framing import frame_count
+
+from conftest import make_tone
+
+
+def traced_peak(fn):
+    """fn's traced peak above what was allocated when it was called.
+
+    fn runs once untraced first: a process's first products allocate
+    lasting caches.
+    """
+    fn()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_subband_gain_peak_is_two_frame_matrices_and_the_encoding():
+    # the paper's ratios: rank / frame size 0.2, 600 frames.  Measured at
+    # 2.201 frame matrices: the two class parts plus H.  Keeping the frame
+    # matrix through the split measured 3.201, keeping the stacked
+    # dictionary 2.334.
+    spec = FrameSpec(400, 8)
+    rng = np.random.default_rng(0)
+    band = rng.uniform(-1.0, 1.0, 599 * 8 + 400)
+    w_s, w_n = rng.uniform(0.0, 1.0, (400, 16)), rng.uniform(0.0, 1.0, (400, 64))
+    params = NmfParams(rank=80, max_iters=2)
+    frame_matrix = 400 * frame_count(len(band), spec) * 8
+    peak = traced_peak(lambda: subband_gain(band, w_s, w_n, spec, params))
+    assert peak < 2.27 * frame_matrix
+
+
+def test_train_pair_peak_holds_one_class():
+    # two classes of one equal-sized item each: stacking or factorizing one
+    # class holds two class matrices (the item and the stack, or the matrix
+    # and factorize's V*V), and holding the other class too makes three.
+    # Measured at 2.02 and 3.02.
+    m, n = 100, 2000
+    params = NmfParams(rank=2, max_iters=2)
+    peak = traced_peak(lambda: spectral._train_pair(
+        [n], [n], lambda cols: np.ones((m, cols)), params, params
+    ))
+    assert peak < 2.5 * m * n * 8
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_training_never_holds_both_classes(monkeypatch, front_end):
+    inputs = []
+
+    def checked_factorize(v, params):
+        assert all(ref() is None for ref in inputs), "an earlier class matrix is alive"
+        inputs.append(weakref.ref(v))
+        return factorize(v, params)
+
+    factorize = spectral.factorize
+    monkeypatch.setattr(spectral, "factorize", checked_factorize)
+    clean, noise = [make_tone(500.0, 0.5)], [synth_white_noise(0.5, 8000, 0, 0.5)]
+    kw = dict(speech_params=NmfParams(rank=2, max_iters=2),
+              noise_params=NmfParams(rank=2, max_iters=2))
+    if front_end == "dwpt":
+        train_dwpt_model(clean, noise, 2, "db4", FrameSpec(32, 8), **kw)
+    else:
+        train_stft_model(clean, noise, FrameSpec(64, 16), **kw)
+    assert len(inputs) == {"dwpt": 8, "stft": 2}[front_end]

@@ -17,7 +17,6 @@ from subband_nmf import (
     istft,
     mix_at_snr,
     MixSpec,
-    separation_gain,
     ssnr,
     stft,
     synth_white_noise,
@@ -345,14 +344,19 @@ def test_enhance_rate_mismatch_rejected():
         enhance_stft(make_tone(440.0, 0.3, rate=16000), model)
 
 
-def test_separation_gain_rejects_overflowed_reconstruction():
-    # W^T V overflows; the overflow raises at once, whatever the caller's
-    # error state, as one ValueError about the input level and no warning
-    w = np.full((4, 4), 1e150)
-    params = NmfParams(rank=8, max_iters=1)
+def test_enhance_stft_rejects_overflow_inside_encode():
+    # the power spectrum is finite but W^T V overflows; the overflow raises
+    # at once, whatever the caller's error state, as one ValueError about
+    # the input level and no warning
+    spec = FrameSpec(16, 4)
+    w = np.full((9, 2), 1e150)
+    model = StftBasisModel(w, w, spec, sample_rate=8000)
+    noisy = Signal(1e100 * make_signal(64).samples, 8000)
+    with np.errstate(over="raise"):
+        assert np.all(np.isfinite(np.abs(stft(noisy, spec)) ** 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ValueError, match="^input level too high"
         ):
-            separation_gain(np.full((4, 3), 1e300), w, w, params)
+            enhance_stft(noisy, model, NmfParams(rank=4, max_iters=1))

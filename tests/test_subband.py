@@ -18,7 +18,6 @@ from subband_nmf import (
     enhance_subbands,
     get_filters,
     mix_at_snr,
-    separation_gain,
     ssnr,
     subband_gain,
     synth_white_noise,
@@ -118,9 +117,9 @@ def test_train_rejects_all_zero_clean():
             )
 
 
-@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
-def test_mixed_rates_rejected_before_any_factorization(monkeypatch, front_end):
-    # the training set is checked at entry, not after the dictionaries are learned
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """The shapes of every matrix the trainers factorize from now on."""
     calls = []
 
     def counting_factorize(v, params):
@@ -129,6 +128,12 @@ def test_mixed_rates_rejected_before_any_factorization(monkeypatch, front_end):
 
     for module in (spectral, subband):
         monkeypatch.setattr(module, "factorize", counting_factorize, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_mixed_rates_rejected_before_any_factorization(factorize_calls, front_end):
+    # the training set is checked at entry, not after the dictionaries are learned
     clean, noise = [make_tone(300, 0.5, rate=8000)], [make_tone(300, 0.5, rate=16000)]
     kw = dict(speech_params=small_params(1, 2), noise_params=small_params(1, 2))
     with pytest.raises(ValueError, match="mixed sample rates"):
@@ -136,7 +141,25 @@ def test_mixed_rates_rejected_before_any_factorization(monkeypatch, front_end):
             train_dwpt_model(clean, noise, 2, FILT, FrameSpec(32, 8), **kw)
         else:
             train_stft_model(clean, noise, FrameSpec(32, 8), **kw)
-    assert calls == []
+    assert factorize_calls == []
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_short_utterance_rejected_before_any_factorization(factorize_calls, front_end):
+    # a noise utterance too short for one frame is named before the clean
+    # class is factorized
+    clean = [make_tone(300, 0.5)]
+    noise = [synth_white_noise(0.5, 8000, 0, 0.5), make_tone(300, 0.01)]
+    kw = dict(speech_params=small_params(1, 2), noise_params=small_params(1, 2))
+    if front_end == "dwpt":
+        message = "noise utterance 1 too short: subband 0 has 20 samples, frame size is 32"
+        with pytest.raises(ValueError, match=message):
+            train_dwpt_model(clean, noise, 2, FILT, FrameSpec(32, 8), **kw)
+    else:
+        message = "noise utterance 1 too short: it has 80 samples, frame size is 256"
+        with pytest.raises(ValueError, match=message):
+            train_stft_model(clean, noise, FrameSpec(256, 80), **kw)
+    assert factorize_calls == []
 
 
 def test_subband_gain_hand_case():
@@ -318,11 +341,6 @@ def test_overflowing_input_raises_one_value_error():
         noisy = Signal(x * 10.0**exponent, 8000)
         clean = Signal(tone * 10.0**exponent, 8000)
         bands = dwpt(noisy, 2, FILT)
-        # band 0's squared frames, saturated at the largest float64 where
-        # squaring overflows, so that separation_gain gets finite features
-        with np.errstate(over="ignore"):
-            features = np.minimum(frame_signal(np.square(bands[0]), frame),
-                                  np.finfo(np.float64).max)
         calls = {
             "enhance_dwpt": lambda: enhance_dwpt(
                 noisy, dwpt_model, FILT, small_params(1, 10)).samples,
@@ -330,8 +348,6 @@ def test_overflowing_input_raises_one_value_error():
             "enhance_subbands": lambda: enhance_subbands(bands, dwpt_model, small_params(1, 10)),
             "subband_gain": lambda: subband_gain(
                 bands[0], band.w_speech, band.w_noise, frame, small_params(1, 10)),
-            "separation_gain": lambda: separation_gain(
-                features, band.w_speech, band.w_noise, small_params(1, 10)),
             "train_dwpt": lambda: train_dwpt_model([clean], [noisy], 2, FILT, frame, **train_kw),
             "train_stft": lambda: train_stft_model([clean], [noisy], frame, **train_kw),
         }
