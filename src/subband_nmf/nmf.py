@@ -12,10 +12,12 @@ products), whose r x n and r x r products the multiplicative updates form
 anyway, and clamped at 0 because the expansion can cancel to a tiny
 negative value when the fit is exact.
 
-An enhancement call runs every matrix product at one BLAS thread
-(`_one_blas_thread`) and spreads its independent work, the subbands or
-column blocks of H, over as many Python threads as BLAS had
-(`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc loops.
+An enhancement call, or a dwpt training call, runs every matrix product
+at one BLAS thread (`_one_blas_thread`) and spreads its independent work,
+the subbands or column blocks of H, over as many Python threads as BLAS
+had (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc
+loops.  stft training keeps BLAS's threads: it has two classes to
+spread, and measured slower at one BLAS thread.
 """
 
 import contextvars
@@ -147,7 +149,7 @@ def _blas_threads_api():
     return None
 
 
-# Inside an enhancement call, `_local.threads` is how many threads this
+# Inside a pinned call, `_local.threads` is how many threads this
 # thread may spread its work over: the BLAS count on entry, or 1 in a tile.
 _local = threading.local()
 # BLAS stays at one thread while any thread is inside a call; the last one
@@ -252,7 +254,7 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     rng = np.random.default_rng(params.seed)
     w = rng.uniform(EPSILON, 1.0, size=(m, params.rank))
     h = rng.uniform(EPSILON, 1.0, size=(params.rank, n))
-    v_sq = float(np.sum(v * v))
+    v_sq = float(np.vdot(v, v))
     wt_v, gram = w.T @ v, w.T @ w
     h_next = np.empty_like(h)
     trace = []

@@ -168,16 +168,22 @@ def _train_pair(clean, noise, features, speech_params, noise_params):
 
     The `features(item)` matrices of each class are concatenated
     column-wise and factorized, clean first (by default at SPEECH_RANK and
-    NOISE_RANK); only the dictionary factors are kept.  Each matrix dies
-    when its `factorize` returns, before the next class's is built.  This
-    is the training twin of `_class_parts`.
+    NOISE_RANK); only the dictionary factors are kept.  A one-item class's
+    matrix is factorized as built, not copied.  Each matrix dies when its
+    `factorize` returns, before the next class's is built.  This is the
+    training twin of `_class_parts`.
     """
     if speech_params is None:
         speech_params = NmfParams(rank=SPEECH_RANK)
     if noise_params is None:
         noise_params = NmfParams(rank=NOISE_RANK)
+
+    def class_matrix(items):
+        parts = [features(item) for item in items]
+        return parts[0] if len(parts) == 1 else np.hstack(parts)
+
     return tuple(
-        factorize(np.hstack([features(item) for item in items]), params).w
+        factorize(class_matrix(items), params).w
         for items, params in ((clean, speech_params), (noise, noise_params))
     )
 

@@ -93,6 +93,7 @@ class SubbandBasisModel:
 
 
 @_reject_overflow
+@_one_blas_thread
 def train_dwpt_model(
     clean,
     noise,
@@ -108,7 +109,10 @@ def train_dwpt_model(
     `_check_lengths` on the subbands).  Then, for every band, `_train_pair`
     learns the pair from each class's squared frame matrices; each band is
     squared before it is framed, as in `subband_gain`.  sigma_clean is the
-    rms over the band's concatenated clean samples.
+    rms over the band's concatenated clean samples.  The bands are trained
+    side by side, one per thread BLAS had, each at one BLAS thread
+    (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
+    model's bytes do not depend on the thread count.
     """
     rate = _check_training_set(clean, noise)
     clean_sets = [dwpt(s, level, filter_name) for s in clean]
@@ -116,16 +120,18 @@ def train_dwpt_model(
     _check_lengths(
         clean_sets, noise_sets, spec.frame_size, lambda s: s.shape[1], "subband 0 has"
     )
-    bands = []
-    for b in range(len(clean_sets[0])):
-        # called within this iteration, so the closure sees this band's b
+    bands = [None] * len(clean_sets[0])
+
+    def train_band(b):
         w_speech, w_noise = _train_pair(
             clean_sets, noise_sets,
             lambda s: frame_signal(square_elementwise(s[b]), spec),
             speech_params, noise_params,
         )
         sigma = rms(np.concatenate([s[b] for s in clean_sets]))
-        bands.append(BandModel(w_speech, w_noise, sigma))
+        bands[b] = BandModel(w_speech, w_noise, sigma)
+
+    _run_tiles(train_band, len(bands))
     return SubbandBasisModel(level, filter_name, spec, bands, rate)
 
 

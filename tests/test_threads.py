@@ -1,10 +1,11 @@
-"""Enhancement at one BLAS thread, with its work spread over the threads BLAS had.
+"""Enhancement and dwpt training at one BLAS thread, spread over the threads BLAS had.
 
-`enhance_dwpt` and `enhance_stft` hold BLAS at one thread for the whole
-call and run the subbands (dwpt) or column blocks of the encoding sweeps
-(stft) side by side, on as many threads as BLAS had on entry.  These
-tests set that count through the OpenBLAS setter the library finds, and
-restore it afterwards.
+`enhance_dwpt`, `enhance_stft` and `train_dwpt_model` hold BLAS at one
+thread for the whole call and run the subbands (dwpt) or column blocks
+of the encoding sweeps (stft) side by side, on as many threads as BLAS
+had on entry.  `train_stft_model` keeps BLAS's threads.  These tests set
+that count through the OpenBLAS setter the library finds, and restore
+it afterwards.
 """
 
 import hashlib
@@ -31,13 +32,17 @@ from subband_nmf import (
     train_dwpt_model,
     train_stft_model,
 )
-from subband_nmf import cli, nmf, subband
+from subband_nmf import cli, nmf, spectral, subband
 from subband_nmf.defaults import EPSILON
-from subband_nmf.framing import rms
+from subband_nmf.framing import frame_signal, rms, square_elementwise
 
 API = nmf._blas_threads_api()
 PARAMS = NmfParams(rank=1, max_iters=20, seed=0)
 TRAIN = dict(speech_params=NmfParams(4, 15, 0), noise_params=NmfParams(6, 15, 0))
+# frame and ranks whose products round differently at 1, 2 and 3 BLAS
+# threads when BLAS keeps its threads
+TRAIN_SPEC = FrameSpec(128, 16)
+TRAIN_WIDE = dict(speech_params=NmfParams(12, 2, 0), noise_params=NmfParams(40, 2, 0))
 
 
 @pytest.fixture
@@ -102,6 +107,49 @@ def record_band_threads(monkeypatch):
         return gain(s_b, *args, **kwargs)
 
     monkeypatch.setattr(subband, "subband_gain", logged)
+    return seen
+
+
+def train_dwpt(corpus):
+    clean, noise, _ = corpus
+    return train_dwpt_model([clean], [noise], 3, "db8", TRAIN_SPEC, **TRAIN_WIDE)
+
+
+def model_bytes(model, path):
+    save_model(model, path)
+    return path.read_bytes()
+
+
+def serial_dwpt_training(corpus):
+    """`train_dwpt_model` written as the loop over bands it runs at one thread."""
+    clean, noise, _ = corpus
+    clean_sets, noise_sets = [dwpt(clean, 3, "db8")], [dwpt(noise, 3, "db8")]
+    bands = []
+    for b in range(8):
+        w_speech, w_noise = spectral._train_pair(
+            clean_sets, noise_sets,
+            lambda s: frame_signal(square_elementwise(s[b]), TRAIN_SPEC),
+            TRAIN_WIDE["speech_params"], TRAIN_WIDE["noise_params"],
+        )
+        bands.append(subband.BandModel(w_speech, w_noise, rms(clean_sets[0][b])))
+    return subband.SubbandBasisModel(3, "db8", TRAIN_SPEC, bands, clean.sample_rate)
+
+
+def record_factorize_threads(monkeypatch, scale_in_helpers=1.0):
+    """Wrap training's `factorize` to log (thread name, BLAS count) per call.
+
+    A scale other than 1 multiplies every matrix factorized outside the
+    calling thread by it.
+    """
+    seen, factorize, caller = [], spectral.factorize, threading.current_thread()
+
+    def logged(v, params):
+        seen.append((threading.current_thread().name, API[0]() if API else None))
+        if threading.current_thread() is not caller:
+            v = v * scale_in_helpers
+        return factorize(v, params)
+
+    monkeypatch.setattr(spectral, "factorize", logged)
     return seen
 
 
@@ -202,6 +250,7 @@ def test_no_thread_outlives_a_call(blas_threads, dwpt_model, stft_model, corpus)
     before = threading.active_count()
     enhance_dwpt(corpus[2], dwpt_model, "db8", PARAMS)
     enhance_stft(corpus[2], stft_model, PARAMS)
+    train_dwpt(corpus)
     assert threading.active_count() == before
 
 
@@ -239,6 +288,55 @@ def test_tiles_reraise_the_first_error_after_joining():
         assert nmf._threads() == 3
     finally:
         del nmf._local.threads
+
+
+def test_dwpt_training_bytes_do_not_depend_on_the_thread_count(blas_threads, corpus,
+                                                               tmp_path, monkeypatch):
+    seen = record_factorize_threads(monkeypatch)
+    saved = {}
+    for count in (1, 2, 3):
+        blas_threads(count)
+        saved[count] = model_bytes(train_dwpt(corpus), tmp_path / f"{count}.snm")
+        assert API[0]() == count
+    assert saved[1] == saved[2] == saved[3]
+    # every band's two factorizations ran at one BLAS thread, and at 3
+    # threads the 8 bands were split 3, 3, 2 over three threads, the caller
+    # among them
+    assert len(seen) == 48 and {blas for _, blas in seen} == {1}
+    at_three = [name for name, _ in seen[32:]]
+    assert sorted(at_three.count(name) for name in set(at_three)) == [4, 6, 6]
+    assert threading.current_thread().name in at_three
+
+
+def test_dwpt_training_at_two_threads_is_the_serial_band_loop(blas_threads, corpus, tmp_path):
+    blas_threads(1)
+    serial = model_bytes(serial_dwpt_training(corpus), tmp_path / "serial.snm")
+    blas_threads(2)
+    assert model_bytes(train_dwpt(corpus), tmp_path / "tiles.snm") == serial
+    assert API[0]() == 2
+
+
+def test_overflow_in_a_helper_band_raises_the_level_error(blas_threads, corpus, monkeypatch):
+    blas_threads(2)
+    seen = record_factorize_threads(monkeypatch, scale_in_helpers=1e160)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^input level too high"):
+        train_dwpt(corpus)
+    assert any(name != threading.current_thread().name for name, _ in seen)
+    assert threading.active_count() == before
+    assert API[0]() == 2
+
+
+def test_without_a_setter_the_bands_train_serially(blas_threads, corpus, tmp_path,
+                                                   monkeypatch):
+    blas_threads(2)
+    serial = model_bytes(serial_dwpt_training(corpus), tmp_path / "serial.snm")
+    seen = record_factorize_threads(monkeypatch)
+    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: None)
+    assert model_bytes(train_dwpt(corpus), tmp_path / "unset.snm") == serial
+    # BLAS kept its two threads, and every band trained in the calling thread
+    assert len(seen) == 16
+    assert set(seen) == {(threading.current_thread().name, 2)}
 
 
 @pytest.mark.parametrize("environ, expected", [
