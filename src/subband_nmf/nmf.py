@@ -72,8 +72,8 @@ class NmfResult:
 
 def _objective(v_sq, wt_v, gram, h, hht):
     # ||V - WH||^2 from ||V||^2, W^T V, W^T W, H and H H^T; see the module
-    # docstring.
-    d = v_sq - 2.0 * float(np.sum(wt_v * h)) + float(np.sum(gram * hht))
+    # docstring.  `vdot` forms each inner product without a temporary.
+    d = v_sq - 2.0 * float(np.vdot(wt_v, h)) + float(np.vdot(gram, hht))
     return max(d, 0.0)
 
 
@@ -246,7 +246,7 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     appends the objective d = sum((v - WH)^2) to the trace; d is
     non-increasing up to roundoff.  d comes from the new W's W^T V and
     W^T W, which the next H update reuses, and the H H^T of the W update,
-    so the trace costs r x n and r x r elementwise sums per sweep, plus
+    so the trace costs an r x n and an r x r dot product per sweep, plus
     one extra W^T V and W^T W after the last.
     """
     v = check_nonneg_matrix(v, "v")
@@ -301,7 +301,7 @@ def encode(
     h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n))
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
-    v_sq = float(np.sum(v * v)) if objective_trace is not None else 0.0
+    v_sq = float(np.vdot(v, v)) if objective_trace is not None else 0.0
     blocks = 1 if objective_trace is not None else min(_threads(), n)
 
     def sweep(i):

@@ -12,7 +12,7 @@ matrix, encode it against the stacked [W_S W_N] and split the
 reconstruction by class, from which each forms the ratio gain.  The
 subband front end calls it once per band on squared frame matrices.
 `_train_pair` is the training half they share, run once the training set
-is checked (`_check_training_set`, `_check_lengths`).
+is checked (`_check_training_set`); `_check_input` checks an enhancer's input.
 """
 
 from dataclasses import dataclass
@@ -113,12 +113,22 @@ def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
         check_nonneg_matrix(w, f"{where}{name}")
 
 
-def _check_rate(model, noisy: Signal) -> None:
-    """Reject input whose sample rate differs from the model's."""
+def _check_frames(n: int, frame_size: int, level: int, what: str) -> None:
+    """Reject n samples unless each of their 2**level `dwpt` bands holds one frame."""
+    # a band holds ceil(n / 2**level) samples; the shift never forms 2**level
+    band = -(-n >> level)
+    if band < frame_size:
+        per_band = f" ({band} per subband)" if level else ""
+        raise ValueError(f"{what} too short: {n} samples{per_band}, frame size is {frame_size}")
+
+
+def _check_input(model, noisy: Signal, level: int = 0) -> None:
+    """Reject input at another sample rate than the model's, or too short for its frames."""
     if noisy.sample_rate != model.sample_rate:
         raise ValueError(
             f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
         )
+    _check_frames(len(noisy), model.frame_spec.frame_size, level, "input")
 
 
 @dataclass
@@ -137,30 +147,24 @@ class StftBasisModel:
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
 
-def _check_training_set(clean, noise) -> int:
-    """Reject an empty class, mixed rates or a clean class too small to square; return the rate.
+def _check_training_set(clean, noise, frame_size: int, level: int = 0) -> int:
+    """Reject empty classes, short utterances, mixed rates or a silent clean class; return the rate.
 
-    Both front ends train on squared samples, so a clean class of
-    subnormal samples trains the same degenerate model as silence.
+    An utterance too short for one frame per band at `level` is named by
+    its class and index.  Both front ends train on squared samples, so a
+    clean class of subnormal samples trains the same degenerate model as silence.
     """
     for label, signals in (("clean", clean), ("noise", noise)):
         if not signals:
             raise ValueError(f"empty {label} training set")
+        for i, s in enumerate(signals):
+            _check_frames(len(s), frame_size, level, f"{label} utterance {i}")
     rates = {s.sample_rate for s in [*clean, *noise]}
     if len(rates) > 1:
         raise ValueError(f"training signals have mixed sample rates: {sorted(rates)}")
     if not any(np.any(np.square(s.samples)) for s in clean):
         raise ValueError("degenerate clean set: every training sample squares to zero")
     return rates.pop()
-
-
-def _check_lengths(clean, noise, frame_size, length=len, what="it has"):
-    """Reject an item whose `length` is under one frame, naming its class and index."""
-    for label, items in (("clean", clean), ("noise", noise)):
-        for i, n in enumerate(map(length, items)):
-            if n < frame_size:
-                raise ValueError(f"{label} utterance {i} too short: {what} {n} samples, "
-                                 f"frame size is {frame_size}")
 
 
 def _train_pair(clean, noise, features, speech_params, noise_params):
@@ -202,12 +206,11 @@ def train_stft_model(
     """Learn one power-spectrum dictionary per class from labeled signals.
 
     `window_name` and `feature_kind` accept only "hamming" and "power".
-    The training set is checked first (`_check_training_set`,
-    `_check_lengths`); then `_train_pair` factorizes each class's power spectra.
+    The training set is checked first (`_check_training_set`); then
+    `_train_pair` factorizes each class's power spectra.
     """
     _check_analysis(window_name, feature_kind)
-    rate = _check_training_set(clean, noise)
-    _check_lengths(clean, noise, spec.frame_size)
+    rate = _check_training_set(clean, noise, spec.frame_size)
     w_speech, w_noise = _train_pair(
         clean, noise, lambda s: _power(stft(s, spec)), speech_params, noise_params
     )
@@ -254,7 +257,7 @@ def enhance_stft(
     matrix product runs at one BLAS thread, and the encoding sweeps run
     on column blocks over the threads BLAS had (`nmf._one_blas_thread`).
     """
-    _check_rate(model, noisy)
+    _check_input(model, noisy)
     values = stft(noisy, model.frame_spec)
     values *= wiener_gain(
         *_class_parts(lambda: _power(values), model.w_speech, model.w_noise, params)

@@ -29,8 +29,7 @@ from .framing import (
 from .nmf import NmfParams, _one_blas_thread, _reject_overflow, _run_tiles
 from .spectral import (
     _check_dictionaries,
-    _check_lengths,
-    _check_rate,
+    _check_input,
     _check_training_set,
     _class_parts,
     _ratio_of_total,
@@ -105,8 +104,8 @@ def train_dwpt_model(
 ) -> SubbandBasisModel:
     """Learn per-band dictionaries from labeled time-domain signals.
 
-    The training set is checked first (`_check_training_set`, then
-    `_check_lengths` on the subbands).  Then, for every band, `_train_pair`
+    The training set is checked before any transform (`_check_training_set`
+    at `level`).  Then, for every band, `_train_pair`
     learns the pair from each class's squared frame matrices; each band is
     squared before it is framed, as in `subband_gain`.  sigma_clean is the
     rms over the band's concatenated clean samples.  The bands are trained
@@ -114,12 +113,9 @@ def train_dwpt_model(
     (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
     model's bytes do not depend on the thread count.
     """
-    rate = _check_training_set(clean, noise)
+    rate = _check_training_set(clean, noise, spec.frame_size, _whole(level, "level"))
     clean_sets = [dwpt(s, level, filter_name) for s in clean]
     noise_sets = [dwpt(s, level, filter_name) for s in noise]
-    _check_lengths(
-        clean_sets, noise_sets, spec.frame_size, lambda s: s.shape[1], "subband 0 has"
-    )
     bands = [None] * len(clean_sets[0])
 
     def train_band(b):
@@ -221,19 +217,13 @@ def enhance_dwpt(
 ) -> Signal:
     """Full subband enhancement: decompose, gain, normalize, resynthesize.
 
-    The input needs more than (frame_size - 1) * 2^level samples, so
-    that every subband holds at least one frame.
+    The input is checked first (`_check_input`): every one of its
+    2^level subbands must hold at least one frame.
     """
     if filter_name != model.filter_name:
         raise ValueError(
             f"model was trained with filter '{model.filter_name}', got '{filter_name}'"
         )
-    _check_rate(model, noisy)
-    shortest = (model.frame_spec.frame_size - 1) * model.n_bands + 1
-    if len(noisy) < shortest:
-        raise ValueError(
-            f"input too short: {len(noisy)} samples, the model needs at least "
-            f"{shortest} so that each of its {model.n_bands} subbands holds one frame"
-        )
+    _check_input(model, noisy, model.level)
     enhanced = enhance_subbands(dwpt(noisy, model.level, filter_name), model, params, normalize)
     return Signal(idwpt(enhanced, filter_name, len(noisy)), noisy.sample_rate)

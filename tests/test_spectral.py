@@ -23,6 +23,7 @@ from subband_nmf import (
     train_stft_model,
     wiener_gain,
 )
+from subband_nmf import spectral
 from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count
 
@@ -342,6 +343,22 @@ def test_enhance_rate_mismatch_rejected():
     model = _tiny_models()
     with pytest.raises(ValueError, match="sample rate"):
         enhance_stft(make_tone(440.0, 0.3, rate=16000), model)
+
+
+def test_enhance_rejects_input_shorter_than_one_frame_before_stft(monkeypatch):
+    model = _tiny_models()
+    stft_calls = []
+
+    def counting_stft(x, spec):
+        stft_calls.append(len(x))
+        return stft(x, spec)
+
+    monkeypatch.setattr(spectral, "stft", counting_stft)
+    with pytest.raises(ValueError, match="input too short: 255 samples, frame size is 256"):
+        enhance_stft(make_signal(255), model)
+    assert stft_calls == []
+    assert len(enhance_stft(make_signal(256), model)) == 256
+    assert stft_calls == [256]
 
 
 def test_enhance_stft_rejects_overflow_inside_encode():

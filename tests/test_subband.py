@@ -1,5 +1,7 @@
 """Per-band gain, normalization, and the subband enhancement pipeline."""
 
+import re
+import time
 import warnings
 
 import numpy as np
@@ -145,21 +147,46 @@ def test_mixed_rates_rejected_before_any_factorization(factorize_calls, front_en
 
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])
-def test_short_utterance_rejected_before_any_factorization(factorize_calls, front_end):
+def test_short_utterance_rejected_before_any_factorization(
+    factorize_calls, monkeypatch, front_end
+):
     # a noise utterance too short for one frame is named before the clean
-    # class is factorized
+    # class is transformed or factorized
+    transform_calls = []
+
+    def counting(transform):
+        def counted(*args):
+            transform_calls.append(transform.__name__)
+            return transform(*args)
+        return counted
+
+    monkeypatch.setattr(subband, "dwpt", counting(dwpt))
+    monkeypatch.setattr(spectral, "stft", counting(spectral.stft))
     clean = [make_tone(300, 0.5)]
     noise = [synth_white_noise(0.5, 8000, 0, 0.5), make_tone(300, 0.01)]
     kw = dict(speech_params=small_params(1, 2), noise_params=small_params(1, 2))
     if front_end == "dwpt":
-        message = "noise utterance 1 too short: subband 0 has 20 samples, frame size is 32"
+        message = re.escape("noise utterance 1 too short: 80 samples (20 per subband), "
+                            "frame size is 32")
         with pytest.raises(ValueError, match=message):
             train_dwpt_model(clean, noise, 2, FILT, FrameSpec(32, 8), **kw)
     else:
-        message = "noise utterance 1 too short: it has 80 samples, frame size is 256"
+        message = "noise utterance 1 too short: 80 samples, frame size is 256"
         with pytest.raises(ValueError, match=message):
             train_stft_model(clean, noise, FrameSpec(256, 80), **kw)
     assert factorize_calls == []
+    assert transform_calls == []
+
+
+def test_train_rejects_a_huge_level_at_once():
+    # the length rule never forms 2**level, so this fails as fast as any check
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="clean utterance 0 too short: 4000 samples"):
+        train_dwpt_model(
+            [make_tone(300, 0.5)], [synth_white_noise(0.5, 8000, 0, 0.5)], 10**12, FILT,
+            FrameSpec(32, 8),
+        )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_subband_gain_hand_case():
@@ -282,9 +309,10 @@ def test_enhance_band_count_mismatch():
 def test_enhance_rejects_input_shorter_than_one_frame_per_band():
     # level 2, frame 64: each band holds one frame from 63 * 4 + 1 samples on
     model = tiny_model(frame=FrameSpec(64, 16))
-    with pytest.raises(ValueError, match="input too short: 160 samples, .* at least 253"):
+    message = re.escape("input too short: 160 samples (40 per subband), frame size is 64")
+    with pytest.raises(ValueError, match=message):
         enhance_dwpt(make_tone(300.0, 160 / 8000), model, FILT)
-    with pytest.raises(ValueError, match="input too short: 252 samples"):
+    with pytest.raises(ValueError, match=re.escape("input too short: 252 samples (63 per")):
         enhance_dwpt(make_signal(252), model, FILT)
     assert len(enhance_dwpt(make_signal(253), model, FILT)) == 253
 
