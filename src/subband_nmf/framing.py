@@ -143,8 +143,13 @@ def square_elementwise(frames: np.ndarray) -> np.ndarray:
 
 
 def check_nonneg_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a 2-D array of finite nonnegative entries and return it as float64."""
-    m = np.asarray(m, dtype=np.float64)
+    """Validate a 2-D array of finite nonnegative entries and return it as float64.
+
+    A float32 array is returned as it is, not copied up, so that `encode`
+    can run in float32.
+    """
+    if not (isinstance(m, np.ndarray) and m.dtype == np.float32):
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D")
     if m.size == 0:

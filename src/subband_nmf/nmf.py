@@ -18,6 +18,13 @@ the subbands or column blocks of H, over as many Python threads as BLAS
 had (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc
 loops.  stft training keeps BLAS's threads: it has two classes to
 spread, and measured slower at one BLAS thread.
+
+`factorize` runs in float64.  `encode` runs in the floating dtype of its
+v, and a float64 v keeps the float64 solver bit for bit.  Both enhancers
+hand it float32 features and a float32 dictionary
+(`spectral._class_parts`): the sweeps then move half the bytes and fit
+twice the lanes per SIMD register, and the SSNR gains stay equal to 5
+decimals.  Everything around the encoding stays float64.
 """
 
 import contextvars
@@ -103,10 +110,11 @@ def _update_w(v, w, h, out):
 
 
 def _reject_overflow(fn):
-    """Raise one ValueError about the input level when fn overflows float64.
+    """Raise one ValueError about the input level when fn overflows.
 
     Inputs are finite on entry, so an overflow means the input is too loud
-    to square and factorize; numpy raises at the first one, scanning nothing.
+    to square, encode in float32 or factorize; numpy raises at the first
+    one, scanning nothing.
     """
 
     @functools.wraps(fn)
@@ -116,8 +124,8 @@ def _reject_overflow(fn):
                 return fn(*args, **kwargs)
         except FloatingPointError:
             raise ValueError(
-                "input level too high: float64 overflows while squaring its "
-                "features or factorizing them; scale the input down"
+                "input level too high: its features overflow while being squared, "
+                "encoded or factorized; scale the input down"
             ) from None
 
     return guarded
@@ -247,9 +255,10 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     non-increasing up to roundoff.  d comes from the new W's W^T V and
     W^T W, which the next H update reuses, and the H H^T of the W update,
     so the trace costs an r x n and an r x r dot product per sweep, plus
-    one extra W^T V and W^T W after the last.
+    one extra W^T V and W^T W after the last.  It runs in float64, whatever
+    v's dtype.
     """
-    v = check_nonneg_matrix(v, "v")
+    v = check_nonneg_matrix(v, "v").astype(np.float64, copy=False)
     m, n = v.shape
     rng = np.random.default_rng(params.seed)
     w = rng.uniform(EPSILON, 1.0, size=(m, params.rank))
@@ -285,20 +294,23 @@ def encode(
     objective_trace to collect the per-iteration objective, formed like
     `factorize`'s from the fixed W^T V and W^T W and each sweep's H H^T.
 
-    W^T V, W^T W and the seeded initial H are formed whole.  The sweeps
+    Everything runs in v's floating dtype (float32 or float64; any other
+    dtype is read as float64), and w_fixed is cast to it.  W^T V, W^T W and
+    the seeded initial H are formed whole; H is drawn in float64 and then
+    cast, so both dtypes start from the same draw.  The sweeps
     update each column on its own, so inside an enhancement call they run
     on `_threads()` contiguous column blocks side by side.  Outside one,
     or with an objective trace, the one block is the whole matrix.
     """
     v = check_nonneg_matrix(v, "v")
-    w_fixed = check_nonneg_matrix(w_fixed, "w_fixed")
+    w_fixed = check_nonneg_matrix(w_fixed, "w_fixed").astype(v.dtype, copy=False)
     if v.shape[0] != w_fixed.shape[0]:
         raise ValueError(
             f"row mismatch: v has {v.shape[0]} rows, w_fixed has {w_fixed.shape[0]}"
         )
     n = v.shape[1]
     rng = np.random.default_rng(params.seed)
-    h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n))
+    h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n)).astype(v.dtype, copy=False)
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     v_sq = float(np.vdot(v, v)) if objective_trace is not None else 0.0

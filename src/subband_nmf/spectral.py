@@ -21,11 +21,12 @@ import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
-    FrameSpec, Signal, _overlap_sum, _whole, check_nonneg_matrix, frame_signal
+    FrameSpec, Signal, _overlap_sum, _shown, _whole, check_nonneg_matrix, frame_signal
 )
 from .nmf import (
     NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
 )
+from .wavelets import _too_deep
 
 __all__ = [
     "StftBasisModel",
@@ -113,22 +114,31 @@ def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
         check_nonneg_matrix(w, f"{where}{name}")
 
 
-def _check_frames(n: int, frame_size: int, level: int, what: str) -> None:
-    """Reject n samples unless each of their 2**level `dwpt` bands holds one frame."""
+def _check_frames(n: int, frame_size: int, level: int, what: str, taps: int = 0) -> None:
+    """Reject n samples unless each of their 2**level `dwpt` bands holds one frame.
+
+    With a filter of `taps` taps, `dwpt`'s own rule holds too: the level
+    is not too deep for the filter (`wavelets._too_deep`).
+    """
     # a band holds ceil(n / 2**level) samples; the shift never forms 2**level
     band = -(-n >> level)
+    per_band = f" ({band} per subband)" if level else ""
     if band < frame_size:
-        per_band = f" ({band} per subband)" if level else ""
         raise ValueError(f"{what} too short: {n} samples{per_band}, frame size is {frame_size}")
+    if _too_deep(n, level, taps):
+        raise ValueError(
+            f"{what} too short for level {_shown(level)}: {n} samples{per_band} leave less "
+            f"than one {taps}-tap filter span at the final split"
+        )
 
 
-def _check_input(model, noisy: Signal, level: int = 0) -> None:
+def _check_input(model, noisy: Signal, level: int = 0, taps: int = 0) -> None:
     """Reject input at another sample rate than the model's, or too short for its frames."""
     if noisy.sample_rate != model.sample_rate:
         raise ValueError(
             f"model sample rate {model.sample_rate} != input rate {noisy.sample_rate}"
         )
-    _check_frames(len(noisy), model.frame_spec.frame_size, level, "input")
+    _check_frames(len(noisy), model.frame_spec.frame_size, level, "input", taps)
 
 
 @dataclass
@@ -147,18 +157,19 @@ class StftBasisModel:
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
 
-def _check_training_set(clean, noise, frame_size: int, level: int = 0) -> int:
+def _check_training_set(clean, noise, frame_size: int, level: int = 0, taps: int = 0) -> int:
     """Reject empty classes, short utterances, mixed rates or a silent clean class; return the rate.
 
-    An utterance too short for one frame per band at `level` is named by
-    its class and index.  Both front ends train on squared samples, so a
-    clean class of subnormal samples trains the same degenerate model as silence.
+    An utterance too short for one frame per band at `level`, or for a
+    `taps`-tap filter there, is named by its class and index.  Both front
+    ends train on squared samples, so a clean class of subnormal samples
+    trains the same degenerate model as silence.
     """
     for label, signals in (("clean", clean), ("noise", noise)):
         if not signals:
             raise ValueError(f"empty {label} training set")
         for i, s in enumerate(signals):
-            _check_frames(len(s), frame_size, level, f"{label} utterance {i}")
+            _check_frames(len(s), frame_size, level, f"{label} utterance {i}", taps)
     rates = {s.sample_rate for s in [*clean, *noise]}
     if len(rates) > 1:
         raise ValueError(f"training signals have mixed sample rates: {sorted(rates)}")
@@ -237,12 +248,20 @@ def _class_parts(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams |
     """The speech and noise reconstructions of the feature matrix `features()`.
 
     It is encoded against the stacked [w_s w_n] (by default with
-    ENCODE_ITERS sweeps), and the encoding is split by class.  The matrix
-    and the stack die when `encode` returns, before the split allocates.
+    ENCODE_ITERS sweeps), and the encoding is split by class.  The
+    encoding runs in float32: the features and the stack are handed to
+    `encode` as float32, so a feature above float32's range raises
+    "input level too high" under `nmf._reject_overflow`.  The split
+    multiplies the float64 dictionaries by H cast back to float64, so the
+    parts are float64.  The matrix, the stack and the float32 H die before
+    the split allocates.
     """
     if params is None:
         params = NmfParams(rank=w_s.shape[1] + w_n.shape[1], max_iters=ENCODE_ITERS)
-    return split_reconstruction(w_s, w_n, encode(features(), np.hstack([w_s, w_n]), params))
+    h = encode(
+        features().astype(np.float32), np.hstack([w_s, w_n], dtype=np.float32), params
+    ).astype(np.float64)
+    return split_reconstruction(w_s, w_n, h)
 
 
 @_reject_overflow

@@ -35,7 +35,7 @@ from .spectral import (
     _ratio_of_total,
     _train_pair,
 )
-from .wavelets import dwpt, get_filters, idwpt
+from .wavelets import _tap_count, dwpt, get_filters, idwpt
 
 __all__ = [
     "BandModel",
@@ -105,7 +105,7 @@ def train_dwpt_model(
     """Learn per-band dictionaries from labeled time-domain signals.
 
     The training set is checked before any transform (`_check_training_set`
-    at `level`).  Then, for every band, `_train_pair`
+    at `level`, with the filter's span).  Then, for every band, `_train_pair`
     learns the pair from each class's squared frame matrices; each band is
     squared before it is framed, as in `subband_gain`.  sigma_clean is the
     rms over the band's concatenated clean samples.  The bands are trained
@@ -113,7 +113,9 @@ def train_dwpt_model(
     (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
     model's bytes do not depend on the thread count.
     """
-    rate = _check_training_set(clean, noise, spec.frame_size, _whole(level, "level"))
+    rate = _check_training_set(
+        clean, noise, spec.frame_size, _whole(level, "level"), _tap_count(filter_name)
+    )
     clean_sets = [dwpt(s, level, filter_name) for s in clean]
     noise_sets = [dwpt(s, level, filter_name) for s in noise]
     bands = [None] * len(clean_sets[0])
@@ -218,12 +220,13 @@ def enhance_dwpt(
     """Full subband enhancement: decompose, gain, normalize, resynthesize.
 
     The input is checked first (`_check_input`): every one of its
-    2^level subbands must hold at least one frame.
+    2^level subbands must hold at least one frame, and the level must not
+    be too deep for the filter.
     """
     if filter_name != model.filter_name:
         raise ValueError(
             f"model was trained with filter '{model.filter_name}', got '{filter_name}'"
         )
-    _check_input(model, noisy, model.level)
+    _check_input(model, noisy, model.level, _tap_count(model.filter_name))
     enhanced = enhance_subbands(dwpt(noisy, model.level, filter_name), model, params, normalize)
     return Signal(idwpt(enhanced, filter_name, len(noisy)), noisy.sample_rate)

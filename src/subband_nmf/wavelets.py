@@ -72,6 +72,21 @@ def get_filters(name: str) -> str:
     return name
 
 
+def _tap_count(filter_name: str) -> int:
+    """A shipped family's filter length; ValueError for any other name."""
+    return len(_filter_taps(filter_name)[0])
+
+
+def _too_deep(n: int, level: int, taps: int) -> bool:
+    """Whether `dwpt` at `level` leaves n samples too few for a taps-long filter.
+
+    Every band must keep a sample of the signal (n >= 2**level, tested on
+    the bit length so that a huge level never forms its power), and the
+    last split's 2 * ceil(n / 2**level) samples must span the filter.
+    """
+    return level >= n.bit_length() or 2 * -(-n >> level) < taps
+
+
 def _band_length(x: np.ndarray) -> int:
     """The length of the last axis, which a split or merge must not find empty."""
     if x.shape[-1] == 0:
@@ -122,15 +137,12 @@ def dwpt(signal: Signal, level: int, filter_name: str) -> np.ndarray:
     The rows are in natural tree order.  The input is zero-padded to the
     next multiple of 2^level; `idwpt` takes the unpadded length back.
     """
-    taps = len(_filter_taps(filter_name)[0])
+    taps = _tap_count(filter_name)
     level = _whole(level, "level")
     orig = len(signal)
     if orig < 1:
         raise ValueError("cannot transform an empty signal")
-    # every band keeps a sample of the signal (orig >= 2**level, tested on the bit
-    # length so that a huge level never forms its power) and the last split's
-    # 2 * ceil(orig / 2**level) samples span the filter
-    if level >= orig.bit_length() or 2 * -(-orig >> level) < taps:
+    if _too_deep(orig, level, taps):
         raise ValueError(
             f"level {_shown(level)} too deep: a length-{orig} signal leaves less than "
             f"one {taps}-tap filter span at the final split"

@@ -226,17 +226,21 @@ def test_encode_and_factorize_only_read_their_inputs():
 
 
 def test_encode_matches_allocating_update_bit_for_bit():
-    # the one-buffer H update keeps the operation order of this expression
+    # the one-buffer H update keeps the operation order of this expression,
+    # evaluated in v's dtype from the float64 draw cast to it
     r = np.random.default_rng(13)
     v = r.uniform(0, 1, (11, 17)) ** 2
     w = r.uniform(0.1, 1, (11, 6))
     params = NmfParams(rank=6, max_iters=40, seed=4)
-    h = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (6, 17))
-    h0 = h.copy()
-    for _ in range(params.max_iters):
-        h = np.maximum(h * ((w.T @ v) / np.maximum((w.T @ w) @ h, EPSILON)), EPSILON)
-    assert np.array_equal(encode(v, w, params), h)
-    assert not np.array_equal(h, h0)
+    h0 = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (6, 17))
+    for dtype in (np.float64, np.float32):
+        v_d, w_d, h = v.astype(dtype), w.astype(dtype), h0.astype(dtype)
+        for _ in range(params.max_iters):
+            h = np.maximum(h * ((w_d.T @ v_d) / np.maximum((w_d.T @ w_d) @ h, EPSILON)), EPSILON)
+        got = encode(v_d, w_d, params)
+        assert got.dtype == h.dtype == dtype
+        assert np.array_equal(got, h)
+        assert not np.array_equal(h, h0.astype(dtype))
 
 
 def test_encode_row_mismatch():

@@ -13,6 +13,7 @@ from subband_nmf import (
     Signal,
     StftBasisModel,
     SubbandBasisModel,
+    enhance_dwpt,
     enhance_stft,
     istft,
     mix_at_snr,
@@ -27,7 +28,7 @@ from subband_nmf import spectral
 from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count
 
-from conftest import make_signal, make_tone
+from conftest import make_signal, make_tone, unit_gain_model
 
 
 def test_spectrogram_validation():
@@ -290,6 +291,32 @@ def _tiny_models(seed=0):
         clean, noise, FrameSpec(256, 80),
         speech_params=NmfParams(rank=2, max_iters=100, seed=0),
         noise_params=NmfParams(rank=4, max_iters=100, seed=0),
+    )
+
+
+def test_both_enhancers_encode_float32_features(monkeypatch):
+    # the gain core hands `encode` float32 features and a float32 stacked
+    # dictionary on both front ends, and gets float32 activations back;
+    # a direct float64 call still encodes in float64
+    seen, encode = [], spectral.encode
+
+    def recording_encode(v, w_fixed, params):
+        h = encode(v, w_fixed, params)
+        seen.append((v.dtype, w_fixed.dtype, h.dtype))
+        return h
+
+    monkeypatch.setattr(spectral, "encode", recording_encode)
+    noisy = make_signal(2000, seed=3)
+    enhance_stft(noisy, _tiny_models(), NmfParams(rank=6, max_iters=5))
+    enhance_dwpt(noisy, unit_gain_model(2, FrameSpec(32, 8)), "db8", NmfParams(12, 5))
+    assert seen == [(np.float32,) * 3] * 5
+    r = np.random.default_rng(0)
+    v, w = r.uniform(0, 1, (9, 7)), r.uniform(0, 1, (9, 3))
+    assert encode(v, w, NmfParams(rank=3, max_iters=5)).dtype == np.float64
+    # a float64 dictionary is cast to a float32 v's dtype
+    np.testing.assert_array_equal(
+        encode(v.astype(np.float32), w, NmfParams(rank=3, max_iters=5)),
+        encode(v.astype(np.float32), w.astype(np.float32), NmfParams(rank=3, max_iters=5)),
     )
 
 

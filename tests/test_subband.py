@@ -150,8 +150,9 @@ def test_mixed_rates_rejected_before_any_factorization(factorize_calls, front_en
 def test_short_utterance_rejected_before_any_factorization(
     factorize_calls, monkeypatch, front_end
 ):
-    # a noise utterance too short for one frame is named before the clean
-    # class is transformed or factorized
+    # a noise utterance too short for one frame, or on dwpt for the filter
+    # at the final split, is named before the clean class is transformed or
+    # factorized
     transform_calls = []
 
     def counting(transform):
@@ -170,6 +171,11 @@ def test_short_utterance_rejected_before_any_factorization(
                             "frame size is 32")
         with pytest.raises(ValueError, match=message):
             train_dwpt_model(clean, noise, 2, FILT, FrameSpec(32, 8), **kw)
+        # one-sample frames fit, but 8 samples leave db8 no span at level 3
+        message = re.escape("noise utterance 1 too short for level 3: 8 samples (1 per "
+                            "subband) leave less than one 8-tap filter span at the final split")
+        with pytest.raises(ValueError, match=message):
+            train_dwpt_model(clean, [noise[0], make_signal(8)], 3, FILT, FrameSpec(1, 1), **kw)
     else:
         message = "noise utterance 1 too short: 80 samples, frame size is 256"
         with pytest.raises(ValueError, match=message):
@@ -211,7 +217,8 @@ def test_subband_gain_bounds_and_length():
 
 def test_subband_gain_matches_brute_force_ola():
     # independent oracle: rebuild the gain matrix with the same public ops,
-    # then de-frame it by direct enumeration of frame-to-sample hits
+    # encoding in float32 as enhancement does and splitting in float64, then
+    # de-frame it by direct enumeration of frame-to-sample hits
     band = make_signal(142, seed=8).samples
     spec = FrameSpec(16, 4)
     r = np.random.default_rng(5)
@@ -220,9 +227,10 @@ def test_subband_gain_matches_brute_force_ola():
     params = small_params(4, 40, seed=9)
     g = subband_gain(band, w_s, w_n, spec, params)
 
-    v = square_elementwise(frame_signal(band, spec))
-    h = encode(v, np.hstack([w_s, w_n]), params)
-    sp, npart = split_reconstruction(w_s, w_n, h)
+    v = square_elementwise(frame_signal(band, spec)).astype(np.float32)
+    h = encode(v, np.hstack([w_s, w_n]).astype(np.float32), params)
+    assert h.dtype == np.float32
+    sp, npart = split_reconstruction(w_s, w_n, h.astype(np.float64))
     mat = np.sqrt(wiener_gain(sp, npart))
     nf = mat.shape[1]
     covered = (nf - 1) * 4 + 16
@@ -315,6 +323,12 @@ def test_enhance_rejects_input_shorter_than_one_frame_per_band():
     with pytest.raises(ValueError, match=re.escape("input too short: 252 samples (63 per")):
         enhance_dwpt(make_signal(252), model, FILT)
     assert len(enhance_dwpt(make_signal(253), model, FILT)) == 253
+    # one-sample frames at level 3: db8 needs 4 samples per band at the last split
+    model = unit_gain_model(3, FrameSpec(1, 1))
+    message = re.escape("input too short for level 3: 24 samples (3 per subband) leave less")
+    with pytest.raises(ValueError, match=message):
+        enhance_dwpt(make_signal(24), model, FILT)
+    assert len(enhance_dwpt(make_signal(25), model, FILT)) == 25
 
 
 def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
@@ -330,7 +344,8 @@ def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
 def test_extreme_amplitudes_enhance_or_raise_value_error():
     # every finite input is either enhanced to a finite signal of its own
     # length or rejected with ValueError, never another exception; near
-    # 1e153 the squared features overflow inside the encoding
+    # 1e19 the squared features overflow float32 on their way into the
+    # encoding, and near 1e153 they overflow float64
     dwpt_model = tiny_model()
     stft_model = train_stft_model(
         [make_tone(500.0, 1.5)], [synth_white_noise(1.5, 8000, 0, 0.5)], FrameSpec(32, 8),
@@ -338,7 +353,7 @@ def test_extreme_amplitudes_enhance_or_raise_value_error():
     )
     x = make_signal(1000).samples
     x = x / np.max(np.abs(x))
-    for exponent in [*range(-300, 301, 10), 153, 153.5, 154, 155]:
+    for exponent in [*range(-300, 301, 10), 18, 18.5, 19, 19.5, 153, 153.5, 154, 155]:
         noisy = Signal(x * 10.0**exponent, 8000)
         for enhance in (
             lambda: enhance_dwpt(noisy, dwpt_model, FILT, small_params(1, 10)),
@@ -354,8 +369,10 @@ def test_extreme_amplitudes_enhance_or_raise_value_error():
 
 
 def test_overflowing_input_raises_one_value_error():
-    # squaring the features (or the NMF products formed from them)
-    # overflows float64: one ValueError about the input level, no warning
+    # squaring the features, casting them to float32 for the encoding, or
+    # the NMF products formed from them overflows: one ValueError about the
+    # input level, no warning.  Training stays float64, so at 1e20 it
+    # succeeds where every enhancement's float32 features overflow.
     x = make_signal(1000).samples
     x = x / np.max(np.abs(x))
     tone = make_tone(500.0, 1.5).samples / 0.5
@@ -365,14 +382,13 @@ def test_overflowing_input_raises_one_value_error():
         [make_tone(500.0, 1.5)], [synth_white_noise(1.5, 8000, 0, 0.5)], frame, **train_kw
     )
     band = dwpt_model.per_band[0]
-    for exponent in (153, 154, 300):
+    for exponent in (20, 153, 154, 300):
         noisy = Signal(x * 10.0**exponent, 8000)
         clean = Signal(tone * 10.0**exponent, 8000)
         bands = dwpt(noisy, 2, FILT)
         calls = {
-            "enhance_dwpt": lambda: enhance_dwpt(
-                noisy, dwpt_model, FILT, small_params(1, 10)).samples,
-            "enhance_stft": lambda: enhance_stft(noisy, stft_model, small_params(1, 10)).samples,
+            "enhance_dwpt": lambda: enhance_dwpt(noisy, dwpt_model, FILT, small_params(1, 10)),
+            "enhance_stft": lambda: enhance_stft(noisy, stft_model, small_params(1, 10)),
             "enhance_subbands": lambda: enhance_subbands(bands, dwpt_model, small_params(1, 10)),
             "subband_gain": lambda: subband_gain(
                 bands[0], band.w_speech, band.w_noise, frame, small_params(1, 10)),
@@ -382,11 +398,8 @@ def test_overflowing_input_raises_one_value_error():
         for name, call in calls.items():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                try:
-                    out = call()
-                except ValueError as e:
-                    assert str(e).startswith("input level too high"), (exponent, name)
+                if exponent == 20 and name.startswith("train"):
+                    call()
                     continue
-            # enhancing at 1e153 overflows nothing on this input
-            assert exponent == 153 and not name.startswith("train"), (exponent, name)
-            assert np.all(np.isfinite(out))
+                with pytest.raises(ValueError, match="^input level too high"):
+                    call()
