@@ -11,9 +11,11 @@ __all__ = ["MetricReport", "evaluate", "mse", "sdi", "ssnr"]
 SSNR_SEG_MS = 32.0
 SSNR_CLAMP_DB = (-10.0, 35.0)
 
-# Reference segments at or below this energy are treated as silence and
-# excluded from the segmental average.
-_SILENCE_ENERGY = 1e-10
+# Reference segments at or below this fraction of the reference's largest
+# segment energy are treated as silence and excluded from the segmental
+# average.  Relative, so scaling both signals by a power of two leaves the
+# score unchanged.
+_SILENCE_FRACTION = 1e-10
 
 
 def _paired(reference: Signal, test: Signal):
@@ -37,7 +39,8 @@ def ssnr(reference: Signal, test: Signal) -> float:
     """Segmental SNR in dB.
 
     The signals are cut into consecutive full segments of SSNR_SEG_MS;
-    segments whose reference energy is at silence level are skipped,
+    segments whose reference energy is at most 1e-10 of the largest
+    reference segment's are skipped as silence,
     the rest contribute 10*log10(sum(ref^2)/sum((ref-test)^2)) clamped
     into SSNR_CLAMP_DB, and the mean over segments is returned.
     """
@@ -54,7 +57,7 @@ def ssnr(reference: Signal, test: Signal) -> float:
     r, t = ref[:n].reshape(-1, seg_len), tst[:n].reshape(-1, seg_len)
     e_ref = np.sum(r * r, axis=1)
     e_err = np.sum((r - t) ** 2, axis=1)
-    active = e_ref > _SILENCE_ENERGY
+    active = e_ref > _SILENCE_FRACTION * e_ref.max()
     if not active.any():
         raise ValueError("no non-silent segments to evaluate")
     # an exact segment divides by zero and clamps to the upper bound

@@ -21,10 +21,11 @@ spread, and measured slower at one BLAS thread.
 
 `factorize` runs in float64.  `encode` runs in the floating dtype of its
 v, and a float64 v keeps the float64 solver bit for bit.  Both enhancers
-hand it float32 features and a float32 dictionary
-(`spectral._class_parts`): the sweeps then move half the bytes and fit
-twice the lanes per SIMD register, and the SSNR gains stay equal to 5
-decimals.  Everything around the encoding stays float64.
+hand it float32 features and a float32 dictionary, and split its H by
+class in float32 (`spectral._ratio_gain`): the sweeps then move half the
+bytes and fit twice the lanes per SIMD register, and the SSNR gains stay
+equal to 5 decimals.  The ratio gain formed from the two parts, and
+everything after it, is float64.
 """
 
 import contextvars

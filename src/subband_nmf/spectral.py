@@ -7,10 +7,11 @@ weighted overlap-add resynthesis.  The spectrogram is a plain complex
 matrix: `stft` returns it (bins x frames) and `istft(values, spec,
 target_len)` checks its shape and finiteness before inverting it.
 
-`_class_parts` is the back end both front ends share: build a feature
-matrix, encode it against the stacked [W_S W_N] and split the
-reconstruction by class, from which each forms the ratio gain.  The
-subband front end calls it once per band on squared frame matrices.
+`_ratio_gain` is the back end both front ends share: build a feature
+matrix, encode it against the stacked [W_S W_N], split the
+reconstruction by class and return the ratio gain of the two parts
+(`wiener_gain`).  The subband front end calls it once per band on
+squared frame matrices and takes the gain's square root.
 `_train_pair` is the training half they share, run once the training set
 is checked (`_check_training_set`); `_check_input` checks an enhancer's input.
 """
@@ -186,7 +187,7 @@ def _train_pair(clean, noise, features, speech_params, noise_params):
     NOISE_RANK); only the dictionary factors are kept.  A one-item class's
     matrix is factorized as built, not copied.  Each matrix dies when its
     `factorize` returns, before the next class's is built.  This is the
-    training twin of `_class_parts`.
+    training twin of `_ratio_gain`.
     """
     if speech_params is None:
         speech_params = NmfParams(rank=SPEECH_RANK)
@@ -234,34 +235,31 @@ def wiener_gain(speech_part: np.ndarray, noise_part: np.ndarray) -> np.ndarray:
     Allocates one float64 output buffer and forms the sum, floor, quotient
     and clip in it; the inputs are only read.
     """
-    return _ratio_of_total(speech_part, np.add(speech_part, noise_part, dtype=np.float64))
-
-
-def _ratio_of_total(speech_part: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """`wiener_gain` from the class sum, formed over `total` and returned."""
+    total = np.add(speech_part, noise_part, dtype=np.float64)
     np.maximum(total, EPSILON, out=total)
     np.divide(speech_part, total, out=total)
     return np.clip(total, 0.0, 1.0, out=total)
 
 
-def _class_parts(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None):
-    """The speech and noise reconstructions of the feature matrix `features()`.
+def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | None):
+    """The `wiener_gain` of the feature matrix `features()`, shaped like it.
 
-    It is encoded against the stacked [w_s w_n] (by default with
-    ENCODE_ITERS sweeps), and the encoding is split by class.  The
-    encoding runs in float32: the features and the stack are handed to
-    `encode` as float32, so a feature above float32's range raises
-    "input level too high" under `nmf._reject_overflow`.  The split
-    multiplies the float64 dictionaries by H cast back to float64, so the
-    parts are float64.  The matrix, the stack and the float32 H die before
-    the split allocates.
+    The matrix is encoded against the stacked [w_s w_n] (by default with
+    ENCODE_ITERS sweeps), and the encoding is split by class with the
+    stack's two column views.  Encoding and split run in float32: the
+    features and the stack are cast once, so a feature above float32's
+    range raises "input level too high" under `nmf._reject_overflow`.
+    The float32 matrix dies once encoded and H once split, so the gain is
+    formed beside only the two float32 class parts and the stack: about
+    two float64 matrices in all.
     """
     if params is None:
         params = NmfParams(rank=w_s.shape[1] + w_n.shape[1], max_iters=ENCODE_ITERS)
-    h = encode(
-        features().astype(np.float32), np.hstack([w_s, w_n], dtype=np.float32), params
-    ).astype(np.float64)
-    return split_reconstruction(w_s, w_n, h)
+    stack = np.hstack([w_s, w_n], dtype=np.float32)
+    r_s = w_s.shape[1]
+    return wiener_gain(*split_reconstruction(
+        stack[:, :r_s], stack[:, r_s:], encode(features().astype(np.float32), stack, params)
+    ))
 
 
 @_reject_overflow
@@ -271,14 +269,12 @@ def enhance_stft(
 ) -> Signal:
     """Suppress noise in a signal using a trained spectral model.
 
-    The `wiener_gain` of the power spectrum's `_class_parts` multiplies
-    the magnitudes directly while the phase rides along unchanged.  Every
+    The power spectrum's `_ratio_gain` multiplies the magnitudes
+    directly while the phase rides along unchanged.  Every
     matrix product runs at one BLAS thread, and the encoding sweeps run
     on column blocks over the threads BLAS had (`nmf._one_blas_thread`).
     """
     _check_input(model, noisy)
     values = stft(noisy, model.frame_spec)
-    values *= wiener_gain(
-        *_class_parts(lambda: _power(values), model.w_speech, model.w_noise, params)
-    )
+    values *= _ratio_gain(lambda: _power(values), model.w_speech, model.w_noise, params)
     return Signal(istft(values, model.frame_spec, len(noisy.samples)), noisy.sample_rate)

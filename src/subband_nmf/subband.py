@@ -5,8 +5,8 @@ packet tree.  Each band gets its own pair of dictionaries trained on
 squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
 rms before the inverse transform stitches the bands together.  Each
-band's encoding and split come from `spectral._class_parts`, the back end
-the STFT baseline uses too, and its dictionaries from
+band's ratio gain comes from `spectral._ratio_gain`, the back end the
+STFT baseline uses too, and its dictionaries from
 `spectral._train_pair`, the shared training half.
 """
 
@@ -31,8 +31,7 @@ from .spectral import (
     _check_dictionaries,
     _check_input,
     _check_training_set,
-    _class_parts,
-    _ratio_of_total,
+    _ratio_gain,
     _train_pair,
 )
 from .wavelets import _tap_count, dwpt, get_filters, idwpt
@@ -143,22 +142,17 @@ def subband_gain(
 ) -> np.ndarray:
     """Per-sample suppression gain in [0, 1] for one subband sequence.
 
-    The squared frame matrix's `_class_parts` give the ratio gain
-    speech/(speech+noise), floored and clipped as in `wiener_gain`, whose
-    square root is de-framed by averaging overlap-add.  Samples past the
-    last full frame keep the final de-framed value.  The band is squared
+    The squared frame matrix's `_ratio_gain`, speech/(speech+noise)
+    floored and clipped as in `wiener_gain`, has its square root taken in
+    place and de-framed by averaging overlap-add.  Samples past the last
+    full frame keep the final de-framed value.  The band is squared
     before it is framed, which gives the same matrix because framing only
-    copies.  The frame matrix dies once encoded, and the ratio gain is
-    formed in the noise reconstruction's buffer, so a band holds two
-    frame-sized matrices at most, not four.
+    copies.  The gain core holds about two frame-sized float64 matrices
+    at most (its float32 class parts and the gain), not four.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    speech_part, gain_mat = _class_parts(
-        lambda: frame_signal(square_elementwise(s_b), spec), w_s, w_n, params
-    )
-    _ratio_of_total(speech_part, np.add(speech_part, gain_mat, out=gain_mat))
-    del speech_part
-    g = overlap_add(np.sqrt(gain_mat, out=gain_mat), spec, len(s_b))
+    gain = _ratio_gain(lambda: frame_signal(square_elementwise(s_b), spec), w_s, w_n, params)
+    g = overlap_add(np.sqrt(gain, out=gain), spec, len(s_b))
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):
         g[covered:] = g[covered - 1]

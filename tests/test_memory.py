@@ -1,11 +1,11 @@
 """Feature matrices die when the NMF that reads them returns.
 
 Enhancement builds each feature matrix inside the shared gain core, so
-the matrix and the stacked dictionary are freed before the split
-allocates the two class reconstructions.  Training builds and factorizes
-one class before it builds the next, and `factorize` holds no temporary
-the size of its input.  The peaks are tracemalloc's, which sees every
-numpy buffer and none of BLAS's own.
+the matrix is freed once encoded, and the activations once split, before
+the gain is allocated beside the two float32 class reconstructions.
+Training builds and factorizes one class before it builds the next, and
+`factorize` holds no temporary the size of its input.  The peaks are
+tracemalloc's, which sees every numpy buffer and none of BLAS's own.
 """
 
 import threading
@@ -49,9 +49,10 @@ def traced_peak(fn):
 
 def test_subband_gain_peak_is_two_frame_matrices_and_the_encoding():
     # the paper's ratios: rank / frame size 0.2, 600 frames.  Measured at
-    # 2.201 frame matrices: the two class parts plus H.  Keeping the frame
-    # matrix through the split measured 3.201, keeping the stacked
-    # dictionary 2.334.
+    # 2.136 frame matrices: the float64 gain, the two float32 class parts,
+    # the float32 stack and the sum's cast buffers.  Keeping the float32 H
+    # through the gain measured 2.236; float64 class parts with the gain
+    # formed in one part's buffer measured 2.201.
     spec = FrameSpec(400, 8)
     rng = np.random.default_rng(0)
     band = rng.uniform(-1.0, 1.0, 599 * 8 + 400)

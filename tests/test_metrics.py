@@ -101,17 +101,32 @@ def test_ssnr_scale_invariance(seed, scale):
     assert a == pytest.approx(b, abs=1e-9)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**31), k=st.integers(-40, 40), silent_segments=st.integers(0, 5))
+def test_ssnr_is_unchanged_by_power_of_two_scaling(seed, k, silent_segments):
+    # the silence test is relative to the reference's own level, so a
+    # power-of-two scale, exact in binary, leaves every comparison as it was
+    ref = make_signal(8 * SEG + 100, seed=seed).samples
+    ref[: silent_segments * SEG] = 0.0
+    test = ref + 0.05 * np.random.default_rng(seed + 1).standard_normal(len(ref))
+    scale = 2.0**k
+    scaled = ssnr(Signal(scale * ref, 8000), Signal(scale * test, 8000))
+    assert scaled == ssnr(Signal(ref, 8000), Signal(test, 8000))
+
+
 def _ssnr_per_segment(reference, test):
     """The per-segment loop `ssnr` replaced, kept as its bit-level reference."""
     ref, tst = reference.samples, test.samples
     seg_len = int(round(reference.sample_rate * SSNR_SEG_MS / 1000.0))
     lo, hi = SSNR_CLAMP_DB
+    starts = range(0, len(ref) - seg_len + 1, seg_len)
+    energies = [float(np.sum(ref[start : start + seg_len] ** 2)) for start in starts]
+    silence = 1e-10 * max(energies, default=0.0)
     vals = []
-    for start in range(0, len(ref) - seg_len + 1, seg_len):
+    for start, e_ref in zip(starts, energies):
         r = ref[start : start + seg_len]
         t = tst[start : start + seg_len]
-        e_ref = float(np.sum(r * r))
-        if e_ref <= 1e-10:
+        if e_ref <= silence:
             continue
         e_err = float(np.sum((r - t) ** 2))
         if e_err == 0.0:

@@ -320,6 +320,23 @@ def test_both_enhancers_encode_float32_features(monkeypatch):
     )
 
 
+def test_both_enhancers_form_their_gain_in_wiener_gain(monkeypatch):
+    # one gain core: `enhance_stft` reaches `wiener_gain` once, and
+    # `enhance_dwpt` once per band, each time with float32 class parts
+    calls, wiener_gain = [], spectral.wiener_gain
+
+    def counting_wiener_gain(speech_part, noise_part):
+        calls.append((speech_part.dtype, noise_part.dtype))
+        return wiener_gain(speech_part, noise_part)
+
+    monkeypatch.setattr(spectral, "wiener_gain", counting_wiener_gain)
+    noisy = make_signal(2000, seed=3)
+    enhance_stft(noisy, _tiny_models(), NmfParams(rank=6, max_iters=5))
+    assert len(calls) == 1
+    enhance_dwpt(noisy, unit_gain_model(2, FrameSpec(32, 8)), "db8", NmfParams(12, 5))
+    assert calls == [(np.float32, np.float32)] * (1 + 2**2)
+
+
 def test_enhance_improves_tone_in_noise():
     model = _tiny_models()
     clean = make_tone(500.0, 1.0)

@@ -217,8 +217,8 @@ def test_subband_gain_bounds_and_length():
 
 def test_subband_gain_matches_brute_force_ola():
     # independent oracle: rebuild the gain matrix with the same public ops,
-    # encoding in float32 as enhancement does and splitting in float64, then
-    # de-frame it by direct enumeration of frame-to-sample hits
+    # encoding and splitting in float32 on one float32 stack as enhancement
+    # does, then de-frame it by direct enumeration of frame-to-sample hits
     band = make_signal(142, seed=8).samples
     spec = FrameSpec(16, 4)
     r = np.random.default_rng(5)
@@ -228,9 +228,10 @@ def test_subband_gain_matches_brute_force_ola():
     g = subband_gain(band, w_s, w_n, spec, params)
 
     v = square_elementwise(frame_signal(band, spec)).astype(np.float32)
-    h = encode(v, np.hstack([w_s, w_n]).astype(np.float32), params)
+    stack = np.hstack([w_s, w_n]).astype(np.float32)
+    h = encode(v, stack, params)
     assert h.dtype == np.float32
-    sp, npart = split_reconstruction(w_s, w_n, h.astype(np.float64))
+    sp, npart = split_reconstruction(stack[:, :2], stack[:, 2:], h)
     mat = np.sqrt(wiener_gain(sp, npart))
     nf = mat.shape[1]
     covered = (nf - 1) * 4 + 16
@@ -241,7 +242,7 @@ def test_subband_gain_matches_brute_force_ola():
             acc[j * 4 + i] += mat[i, j]
             cnt[j * 4 + i] += 1
     expected = acc / cnt
-    np.testing.assert_allclose(g[:covered], np.clip(expected, 0, 1), atol=1e-12)
+    np.testing.assert_allclose(g[:covered], np.clip(expected, 0, 1), rtol=0, atol=1e-12)
     # past the last covered sample the gain holds its final value
     assert covered < 142
     np.testing.assert_array_equal(g[covered:], g[covered - 1])
