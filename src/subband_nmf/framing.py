@@ -15,6 +15,13 @@ def _shown(value) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
+def _float_array(x) -> np.ndarray:
+    """x as it is if it is a float32 array, else as a float64 array."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float32:
+        return x
+    return np.asarray(x, dtype=np.float64)
+
+
 def _whole(value, name: str, lowest: int = 1) -> int:
     """Return value as an int; ValueError naming it unless it is whole (256.0 is) and >= lowest."""
     try:
@@ -75,9 +82,11 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
 
     Returns a (frame_size, n_frames) matrix whose column k holds
     x[k*shift : k*shift + frame_size].  Trailing samples that do not fill
-    a complete frame are dropped.
+    a complete frame are dropped.  A float32 x gives a float32 matrix, so
+    that training frames its squared bands straight into float32; any
+    other x is read as float64.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     n = frame_count(len(x), spec)
     if n == 0:
         raise ValueError(
@@ -146,10 +155,9 @@ def check_nonneg_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a 2-D array of finite nonnegative entries and return it as float64.
 
     A float32 array is returned as it is, not copied up, so that `encode`
-    can run in float32.
+    and `factorize` can run in float32.
     """
-    if not (isinstance(m, np.ndarray) and m.dtype == np.float32):
-        m = np.asarray(m, dtype=np.float64)
+    m = _float_array(m)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D")
     if m.size == 0:

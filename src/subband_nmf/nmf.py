@@ -19,13 +19,15 @@ had (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc
 loops.  stft training keeps BLAS's threads: it has two classes to
 spread, and measured slower at one BLAS thread.
 
-`factorize` runs in float64.  `encode` runs in the floating dtype of its
-v, and a float64 v keeps the float64 solver bit for bit.  Both enhancers
-hand it float32 features and a float32 dictionary, and split its H by
-class in float32 (`spectral._ratio_gain`): the sweeps then move half the
-bytes and fit twice the lanes per SIMD register, and the SSNR gains stay
-equal to 5 decimals.  The ratio gain formed from the two parts, and
-everything after it, is float64.
+`factorize` and `encode` run in the floating dtype of their v, and a
+float64 v keeps the float64 solver bit for bit.  Both enhancers hand
+`encode` float32 features and a float32 dictionary, and split its H by
+class in float32 (`spectral._ratio_gain`); both trainers hand `factorize`
+float32 features (`spectral._train_pair`).  The sweeps then move half
+the bytes and fit twice the lanes per SIMD register, and the SSNR gains
+stay equal to 5 decimals.  The ratio gain formed from the two parts, and
+everything after it, is float64, and so are the transforms and the
+squaring before the features are cast.
 """
 
 import contextvars
@@ -78,10 +80,19 @@ class NmfResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
+def _dot(a, b) -> float:
+    # the Frobenius inner product <a, b>, without a temporary.  BLAS forms
+    # it as `vdot` does, bit for bit, but `matmul` is a ufunc, so numpy
+    # checks it for overflow: float32 training's ||V||^2 overflows from
+    # input peaks near 1e8, and that raises under `_reject_overflow`
+    # instead of tracing inf - inf.
+    return float(np.matmul(a.ravel(), b.ravel()))
+
+
 def _objective(v_sq, wt_v, gram, h, hht):
     # ||V - WH||^2 from ||V||^2, W^T V, W^T W, H and H H^T; see the module
-    # docstring.  `vdot` forms each inner product without a temporary.
-    d = v_sq - 2.0 * float(np.vdot(wt_v, h)) + float(np.vdot(gram, hht))
+    # docstring.
+    d = v_sq - 2.0 * _dot(wt_v, h) + _dot(gram, hht)
     return max(d, 0.0)
 
 
@@ -114,8 +125,8 @@ def _reject_overflow(fn):
     """Raise one ValueError about the input level when fn overflows.
 
     Inputs are finite on entry, so an overflow means the input is too loud
-    to square, encode in float32 or factorize; numpy raises at the first
-    one, scanning nothing.
+    to square, or to encode or factorize in float32; numpy raises at the
+    first one, scanning nothing.
     """
 
     @functools.wraps(fn)
@@ -256,15 +267,17 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     non-increasing up to roundoff.  d comes from the new W's W^T V and
     W^T W, which the next H update reuses, and the H H^T of the W update,
     so the trace costs an r x n and an r x r dot product per sweep, plus
-    one extra W^T V and W^T W after the last.  It runs in float64, whatever
-    v's dtype.
+    one extra W^T V and W^T W after the last.  Everything runs in v's
+    floating dtype, as in `encode`: float32 stays float32, and any other
+    dtype is read as float64.  W and H are drawn in float64 and then cast,
+    so both dtypes start from the same draw.
     """
-    v = check_nonneg_matrix(v, "v").astype(np.float64, copy=False)
+    v = check_nonneg_matrix(v, "v")
     m, n = v.shape
     rng = np.random.default_rng(params.seed)
-    w = rng.uniform(EPSILON, 1.0, size=(m, params.rank))
-    h = rng.uniform(EPSILON, 1.0, size=(params.rank, n))
-    v_sq = float(np.vdot(v, v))
+    w = rng.uniform(EPSILON, 1.0, size=(m, params.rank)).astype(v.dtype, copy=False)
+    h = rng.uniform(EPSILON, 1.0, size=(params.rank, n)).astype(v.dtype, copy=False)
+    v_sq = _dot(v, v)
     wt_v, gram = w.T @ v, w.T @ w
     h_next = np.empty_like(h)
     trace = []
@@ -314,7 +327,7 @@ def encode(
     h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n)).astype(v.dtype, copy=False)
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
-    v_sq = float(np.vdot(v, v)) if objective_trace is not None else 0.0
+    v_sq = _dot(v, v) if objective_trace is not None else 0.0
     blocks = 1 if objective_trace is not None else min(_threads(), n)
 
     def sweep(i):

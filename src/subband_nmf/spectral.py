@@ -184,10 +184,12 @@ def _train_pair(clean, noise, features, speech_params, noise_params):
 
     The `features(item)` matrices of each class are concatenated
     column-wise and factorized, clean first (by default at SPEECH_RANK and
-    NOISE_RANK); only the dictionary factors are kept.  A one-item class's
-    matrix is factorized as built, not copied.  Each matrix dies when its
-    `factorize` returns, before the next class's is built.  This is the
-    training twin of `_ratio_gain`.
+    NOISE_RANK); only the dictionary factors are kept.  `factorize` runs
+    in the features' dtype: both trainers build them in float32, so the
+    dictionaries come back float32, which a model's float64 arrays hold
+    exactly.  A one-item class's matrix is factorized as built, not
+    copied.  Each matrix dies when its `factorize` returns, before the
+    next class's is built.  This is the training twin of `_ratio_gain`.
     """
     if speech_params is None:
         speech_params = NmfParams(rank=SPEECH_RANK)
@@ -219,12 +221,15 @@ def train_stft_model(
 
     `window_name` and `feature_kind` accept only "hamming" and "power".
     The training set is checked first (`_check_training_set`); then
-    `_train_pair` factorizes each class's power spectra.
+    `_train_pair` factorizes each class's power spectra, each utterance's
+    formed in float64 and cast to float32, so a power above float32's
+    range raises "input level too high".
     """
     _check_analysis(window_name, feature_kind)
     rate = _check_training_set(clean, noise, spec.frame_size)
     w_speech, w_noise = _train_pair(
-        clean, noise, lambda s: _power(stft(s, spec)), speech_params, noise_params
+        clean, noise, lambda s: _power(stft(s, spec)).astype(np.float32),
+        speech_params, noise_params,
     )
     return StftBasisModel(w_speech, w_noise, spec, rate)
 

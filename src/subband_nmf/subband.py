@@ -106,9 +106,11 @@ def train_dwpt_model(
     The training set is checked before any transform (`_check_training_set`
     at `level`, with the filter's span).  Then, for every band, `_train_pair`
     learns the pair from each class's squared frame matrices; each band is
-    squared before it is framed, as in `subband_gain`.  sigma_clean is the
-    rms over the band's concatenated clean samples.  The bands are trained
-    side by side, one per thread BLAS had, each at one BLAS thread
+    squared before it is framed, as in `subband_gain`, and cast to float32
+    between the two, so the frame matrix is built in float32 and never
+    exists in float64.  sigma_clean is the rms over the band's
+    concatenated clean samples.  The bands are trained side by side, one
+    per thread BLAS had, each at one BLAS thread
     (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
     model's bytes do not depend on the thread count.
     """
@@ -122,7 +124,7 @@ def train_dwpt_model(
     def train_band(b):
         w_speech, w_noise = _train_pair(
             clean_sets, noise_sets,
-            lambda s: frame_signal(square_elementwise(s[b]), spec),
+            lambda s: frame_signal(square_elementwise(s[b]).astype(np.float32), spec),
             speech_params, noise_params,
         )
         sigma = rms(np.concatenate([s[b] for s in clean_sets]))

@@ -133,6 +133,12 @@ def test_frame_starts_by_hand():
     assert f.shape == (256, 3)
     for j, start in enumerate((0, 80, 160)):
         np.testing.assert_array_equal(f[:, j], x.samples[start:start + 256])
+    # a float32 signal is framed as it is, into a float32 matrix of the
+    # same columns; any other dtype is read as float64
+    f32 = frame_signal(x.samples.astype(np.float32), spec)
+    assert f32.dtype == np.float32
+    np.testing.assert_array_equal(f32, f.astype(np.float32))
+    assert frame_signal(np.arange(416), spec).dtype == np.float64
 
 
 def test_frame_count_matches_enumeration():

@@ -3,8 +3,9 @@
 Enhancement builds each feature matrix inside the shared gain core, so
 the matrix is freed once encoded, and the activations once split, before
 the gain is allocated beside the two float32 class reconstructions.
-Training builds and factorizes one class before it builds the next, and
-`factorize` holds no temporary the size of its input.  The peaks are
+Training builds and factorizes one class before it builds the next, dwpt
+training frames each squared band straight into float32, and `factorize`
+holds no temporary the size of its input.  The peaks are
 tracemalloc's, which sees every numpy buffer and none of BLAS's own.
 """
 
@@ -65,10 +66,13 @@ def test_subband_gain_peak_is_two_frame_matrices_and_the_encoding():
 
 def test_factorize_holds_no_copy_of_its_input():
     # measured at 0.052 of v at rank 4: the factors and their products.
-    # Forming ||V||^2 from V*V measured 1.018.
-    v = np.random.default_rng(0).uniform(size=(400, 600))
-    peak = traced_peak(lambda: nmf.factorize(v, NmfParams(rank=4, max_iters=2)))
-    assert peak < 0.25 * v.nbytes
+    # Forming ||V||^2 from V*V measured 1.018.  A float32 v measured 0.053
+    # of its own size, the float64 draws of the factors included; copying
+    # it up to float64 (the float64 solver) measured 2.10.
+    for dtype in (np.float64, np.float32):
+        v = np.random.default_rng(0).uniform(size=(400, 600)).astype(dtype)
+        peak = traced_peak(lambda: nmf.factorize(v, NmfParams(rank=4, max_iters=2)))
+        assert peak < 0.25 * v.nbytes
 
 
 def test_train_pair_peak_holds_one_class():
@@ -82,6 +86,23 @@ def test_train_pair_peak_holds_one_class():
         [n], [n], lambda cols: np.ones((m, cols)), params, params
     ))
     assert peak < 1.5 * m * n * 8
+
+
+def test_dwpt_training_frames_each_band_in_float32(monkeypatch):
+    # without a thread-count setter the two bands train one after another,
+    # so one class's float32 frame matrix is the largest buffer alive.
+    # Measured at 1.31 of it: that matrix, both classes' `dwpt` bands and
+    # the squared band.  Framing in float64 and factorizing that (the
+    # float64 trainer) measured 2.34, and framing in float64, then casting
+    # to float32, 3.27.
+    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: None)
+    spec, params = FrameSpec(256, 8), NmfParams(rank=2, max_iters=2)
+    clean, noise = [make_tone(500.0, 2.0)], [synth_white_noise(2.0, 8000, 0, 0.5)]
+    frame_matrix = 256 * frame_count(-(-16000 // 2), spec) * 4
+    peak = traced_peak(lambda: train_dwpt_model(
+        clean, noise, 1, "db4", spec, speech_params=params, noise_params=params
+    ))
+    assert peak < 1.6 * frame_matrix
 
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])

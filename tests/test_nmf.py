@@ -243,6 +243,45 @@ def test_encode_matches_allocating_update_bit_for_bit():
         assert not np.array_equal(h, h0.astype(dtype))
 
 
+def test_factorize_matches_allocating_updates_bit_for_bit():
+    # the one-buffer H and W updates keep the operation order of these
+    # expressions, evaluated in v's dtype from the float64 draws cast to it;
+    # a float64 v is the float64 solver, a float32 v stays float32
+    r = np.random.default_rng(14)
+    v = r.uniform(0, 1, (11, 17)) ** 2
+    params = NmfParams(rank=4, max_iters=40, seed=6)
+    draw = np.random.default_rng(params.seed)
+    w0 = draw.uniform(EPSILON, 1.0, (11, 4))
+    h0 = draw.uniform(EPSILON, 1.0, (4, 17))
+    for dtype in (np.float64, np.float32):
+        v_d, w, h = v.astype(dtype), w0.astype(dtype), h0.astype(dtype)
+        for _ in range(params.max_iters):
+            h = np.maximum(h * ((w.T @ v_d) / np.maximum((w.T @ w) @ h, EPSILON)), EPSILON)
+            w = np.maximum(w * ((v_d @ h.T) / np.maximum(w @ (h @ h.T), EPSILON)), EPSILON)
+        res = factorize(v_d, params)
+        assert res.w.dtype == res.h.dtype == w.dtype == h.dtype == dtype
+        np.testing.assert_array_equal(res.w, w)
+        np.testing.assert_array_equal(res.h, h)
+        assert res.objective_trace[-1] == pytest.approx(
+            float(np.sum((v - w.astype(np.float64) @ h.astype(np.float64)) ** 2)),
+            rel=1e-12 if dtype == np.float64 else 1e-3,
+        )
+
+
+@pytest.mark.parametrize("with_trace", ["factorize", "encode"])
+def test_float32_objective_overflow_raises_instead_of_tracing_nan(with_trace):
+    # ||V||^2 of these float32 features overflows float32 while every entry,
+    # and every update, stays finite: the objective must raise under
+    # errstate(over="raise"), not go on as inf - inf
+    v = np.full((200, 300), 1e17, dtype=np.float32)
+    w = np.ones((200, 2), dtype=np.float32)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        if with_trace == "factorize":
+            factorize(v, NmfParams(rank=2, max_iters=2))
+        else:
+            encode(v, w, NmfParams(rank=2, max_iters=2), objective_trace=[])
+
+
 def test_encode_row_mismatch():
     with pytest.raises(ValueError, match="row mismatch"):
         encode(np.ones((4, 2)), np.ones((5, 2)), NmfParams(rank=2, max_iters=1))

@@ -21,6 +21,7 @@ from subband_nmf import (
     ssnr,
     stft,
     synth_white_noise,
+    train_dwpt_model,
     train_stft_model,
     wiener_gain,
 )
@@ -318,6 +319,35 @@ def test_both_enhancers_encode_float32_features(monkeypatch):
         encode(v.astype(np.float32), w, NmfParams(rank=3, max_iters=5)),
         encode(v.astype(np.float32), w.astype(np.float32), NmfParams(rank=3, max_iters=5)),
     )
+
+
+def test_both_trainers_factorize_float32_features(monkeypatch):
+    # both trainers hand `factorize` float32 features and get a float32
+    # dictionary back, one call per class (per band on dwpt); the models
+    # keep it as float64, which holds it exactly, so enhancement's float32
+    # stack is the trained dictionary.  A direct float64 call still
+    # factorizes in float64.
+    seen, factorize = [], spectral.factorize
+
+    def recording_factorize(v, params):
+        res = factorize(v, params)
+        seen.append((v.dtype, res.w.dtype))
+        return res
+
+    monkeypatch.setattr(spectral, "factorize", recording_factorize)
+    stft_model = _tiny_models()
+    dwpt_model = train_dwpt_model(
+        [make_tone(500.0, 0.5)], [synth_white_noise(0.5, 8000, 0, 0.5)], 2, "db4",
+        FrameSpec(32, 8), speech_params=NmfParams(2, 2, 0), noise_params=NmfParams(2, 2, 0),
+    )
+    assert seen == [(np.float32, np.float32)] * (2 + 2 * 2**2)
+    for model in (stft_model, *dwpt_model.per_band):
+        for w in (model.w_speech, model.w_noise):
+            assert w.dtype == np.float64
+            np.testing.assert_array_equal(w.astype(np.float32), w)
+    v = np.random.default_rng(0).uniform(0, 1, (9, 7))
+    res = factorize(v, NmfParams(rank=3, max_iters=5))
+    assert res.w.dtype == res.h.dtype == np.float64
 
 
 def test_both_enhancers_form_their_gain_in_wiener_gain(monkeypatch):

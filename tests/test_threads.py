@@ -121,14 +121,18 @@ def model_bytes(model, path):
 
 
 def serial_dwpt_training(corpus):
-    """`train_dwpt_model` written as the loop over bands it runs at one thread."""
+    """`train_dwpt_model` written as the loop over bands it runs at one thread.
+
+    Each squared band is cast to float32 before it is framed, as the
+    trainer does.
+    """
     clean, noise, _ = corpus
     clean_sets, noise_sets = [dwpt(clean, 3, "db8")], [dwpt(noise, 3, "db8")]
     bands = []
     for b in range(8):
         w_speech, w_noise = spectral._train_pair(
             clean_sets, noise_sets,
-            lambda s: frame_signal(square_elementwise(s[b]), TRAIN_SPEC),
+            lambda s: frame_signal(square_elementwise(s[b]).astype(np.float32), TRAIN_SPEC),
             TRAIN_WIDE["speech_params"], TRAIN_WIDE["noise_params"],
         )
         bands.append(subband.BandModel(w_speech, w_noise, rms(clean_sets[0][b])))
@@ -187,8 +191,9 @@ def test_stft_repeats_bit_for_bit_and_stays_near_one_thread(blas_threads, stft_m
     blas_threads(2)
     two = [enhance_stft(noisy, stft_model, PARAMS).samples for _ in range(2)]
     np.testing.assert_array_equal(two[0], two[1])
-    # two column blocks moved the output by 2.5e-16 of its peak (OpenBLAS
-    # 0.3.31, 2 cores); a block left unswept would move it by far more
+    # two column blocks of the float32 encoding gave equal bytes (OpenBLAS
+    # 0.3.31, SkylakeX, 2 cores), and moved a float64 encoding by 2.5e-16 of
+    # the peak; a block left unswept would move it by far more
     assert np.max(np.abs(two[0] - one)) <= 1e-13 * np.max(np.abs(one))
     assert API[0]() == 2
 
