@@ -77,21 +77,50 @@ def frame_count(n_samples: int, spec: FrameSpec) -> int:
     return (n_samples - spec.frame_size) // spec.frame_shift + 1
 
 
+def _too_deep(n: int, level: int, taps: int) -> bool:
+    """Whether `wavelets.dwpt` at `level` leaves n samples too few for a taps-long filter.
+
+    Every band must keep a sample of the signal (n >= 2**level, tested on
+    the bit length so that a huge level never forms its power), and the
+    last split's 2 * ceil(n / 2**level) samples must span the filter.
+    """
+    return level >= n.bit_length() or 2 * -(-n >> level) < taps
+
+
+def _check_frames(n: int, frame_size: int, level: int, what: str, taps: int = 0) -> None:
+    """Reject n samples unless each of their 2**level `dwpt` bands holds one frame.
+
+    This is the one length rule of both front ends: level 0 is a signal
+    framed whole (stft, or one band).  With a filter of `taps` taps,
+    `dwpt`'s own rule holds too: the level is not too deep for the filter
+    (`_too_deep`).
+    """
+    # a band holds ceil(n / 2**level) samples; the shift never forms 2**level
+    band = -(-n >> level)
+    per_band = f" ({band} per subband)" if level else ""
+    if band < frame_size:
+        raise ValueError(f"{what} too short: {n} samples{per_band}, frame size is {frame_size}")
+    if _too_deep(n, level, taps):
+        raise ValueError(
+            f"{what} too short for level {_shown(level)}: {n} samples{per_band} leave less "
+            f"than one {taps}-tap filter span at the final split"
+        )
+
+
 def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     """Segment x into overlapped rectangular-window frames.
 
     Returns a (frame_size, n_frames) matrix whose column k holds
     x[k*shift : k*shift + frame_size].  Trailing samples that do not fill
-    a complete frame are dropped.  A float32 x gives a float32 matrix, so
-    that training frames its squared bands straight into float32; any
-    other x is read as float64.
+    a complete frame are dropped.  A signal shorter than one frame is
+    rejected by `_check_frames` as "signal too short: n samples, frame
+    size is m".  A float32 x gives a float32 matrix, so that training
+    frames its squared bands straight into float32; any other x is read
+    as float64.
     """
     x = _float_array(x)
+    _check_frames(len(x), spec.frame_size, 0, "signal")
     n = frame_count(len(x), spec)
-    if n == 0:
-        raise ValueError(
-            f"signal too short for frame size ({len(x)} < {spec.frame_size})"
-        )
     windows = np.lib.stride_tricks.sliding_window_view(x, spec.frame_size)
     return windows[:: spec.frame_shift][:n].T.copy()
 

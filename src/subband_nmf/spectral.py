@@ -22,12 +22,11 @@ import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
-    FrameSpec, Signal, _overlap_sum, _shown, _whole, check_nonneg_matrix, frame_signal
+    FrameSpec, Signal, _check_frames, _overlap_sum, _whole, check_nonneg_matrix, frame_signal
 )
 from .nmf import (
     NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
 )
-from .wavelets import _too_deep
 
 __all__ = [
     "StftBasisModel",
@@ -113,24 +112,6 @@ def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
         if w.shape[1] == 0:
             raise ValueError(f"{where}{name} must have at least one column")
         check_nonneg_matrix(w, f"{where}{name}")
-
-
-def _check_frames(n: int, frame_size: int, level: int, what: str, taps: int = 0) -> None:
-    """Reject n samples unless each of their 2**level `dwpt` bands holds one frame.
-
-    With a filter of `taps` taps, `dwpt`'s own rule holds too: the level
-    is not too deep for the filter (`wavelets._too_deep`).
-    """
-    # a band holds ceil(n / 2**level) samples; the shift never forms 2**level
-    band = -(-n >> level)
-    per_band = f" ({band} per subband)" if level else ""
-    if band < frame_size:
-        raise ValueError(f"{what} too short: {n} samples{per_band}, frame size is {frame_size}")
-    if _too_deep(n, level, taps):
-        raise ValueError(
-            f"{what} too short for level {_shown(level)}: {n} samples{per_band} leave less "
-            f"than one {taps}-tap filter span at the final split"
-        )
 
 
 def _check_input(model, noisy: Signal, level: int = 0, taps: int = 0) -> None:

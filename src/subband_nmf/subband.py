@@ -18,6 +18,7 @@ from .defaults import EPSILON
 from .framing import (
     FrameSpec,
     Signal,
+    _check_frames,
     _shown,
     _whole,
     frame_count,
@@ -177,7 +178,7 @@ def enhance_subbands(
     enhanced band to its clean-training rms, so a band whose rms is zero
     comes out silent.  Only the shape
     is checked: one row per model band, each holding at least one frame
-    of the model's frame size.  The bands are enhanced side by side, one
+    of the model's frame size (`_check_frames`, as "subbands too short").  The bands are enhanced side by side, one
     per thread BLAS had, each at one BLAS thread (`nmf._one_blas_thread`);
     a band's bytes do not depend on the thread count.
     """
@@ -187,11 +188,7 @@ def enhance_subbands(
             f"decomposition has shape {bands.shape}, the model expects "
             f"{model.n_bands} bands, one per row"
         )
-    if bands.shape[1] < model.frame_spec.frame_size:
-        raise ValueError(
-            f"subbands too short: {bands.shape[1]} samples each, the model's "
-            f"frame size is {model.frame_spec.frame_size}"
-        )
+    _check_frames(bands.shape[1], model.frame_spec.frame_size, 0, "subbands")
     out = np.empty_like(bands)
 
     def enhance_band(b):

@@ -29,11 +29,16 @@ class WavInfo:
 
 
 def read_wav(path) -> tuple[Signal, WavInfo]:
-    """Read a PCM16 WAV file into a mono Signal plus its raw geometry."""
+    """Read a PCM16 WAV file into a mono Signal plus its raw geometry.
+
+    Any failure is a ValueError that starts with the path.  The `wave`
+    module itself refuses every format tag but PCM, so a float or
+    compressed file fails as "not a readable WAV file (unknown format:
+    3)"; a PCM file of another sample width fails as "only PCM16".
+    """
     try:
         with wave.open(str(path), "rb") as wf:
             width = wf.getsampwidth()
-            comp = wf.getcomptype()
             channels = wf.getnchannels()
             rate = wf.getframerate()
             n = wf.getnframes()
@@ -42,8 +47,6 @@ def read_wav(path) -> tuple[Signal, WavInfo]:
         # wave raises EOFError for a chunk header cut short and RuntimeError
         # for a chunk it cannot skip; both carry an empty message
         raise ValueError(f"{path}: not a readable WAV file ({str(e) or type(e).__name__})") from e
-    if comp != "NONE":
-        raise ValueError(f"{path}: compressed WAV not supported (comptype {comp})")
     if width != 2:
         raise ValueError(f"{path}: only PCM16 supported, got {8 * width}-bit samples")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .framing import Signal, _shown, _whole
+from .framing import Signal, _shown, _too_deep, _whole
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
@@ -75,16 +75,6 @@ def get_filters(name: str) -> str:
 def _tap_count(filter_name: str) -> int:
     """A shipped family's filter length; ValueError for any other name."""
     return len(_filter_taps(filter_name)[0])
-
-
-def _too_deep(n: int, level: int, taps: int) -> bool:
-    """Whether `dwpt` at `level` leaves n samples too few for a taps-long filter.
-
-    Every band must keep a sample of the signal (n >= 2**level, tested on
-    the bit length so that a huge level never forms its power), and the
-    last split's 2 * ceil(n / 2**level) samples must span the filter.
-    """
-    return level >= n.bit_length() or 2 * -(-n >> level) < taps
 
 
 def _band_length(x: np.ndarray) -> int:

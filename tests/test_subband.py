@@ -335,7 +335,7 @@ def test_enhance_rejects_input_shorter_than_one_frame_per_band():
 def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
     model = tiny_model(frame=FrameSpec(64, 16))
     short = dwpt(make_tone(300.0, 160 / 8000), 2, FILT)
-    with pytest.raises(ValueError, match="40 samples each, .* frame size is 64"):
+    with pytest.raises(ValueError, match="subbands too short: 40 samples, frame size is 64"):
         enhance_subbands(short, model)
     s = dwpt(make_signal(256), 2, FILT)
     assert s.shape == (4, 64)
