@@ -41,7 +41,9 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     tiled if shorter than the clean signal).  The scale factor solves
     10*log10(P_clean / P_noise_scaled) = snr_db with powers averaged
     over the clean utterance's full extent, so the requested SNR holds
-    by construction.
+    by construction.  An SNR so far from 0 dB that the scale underflows
+    to zero, or the scale or the mixture overflows (about +-3000 dB at
+    unit levels), raises a ValueError naming snr_db.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample rates differ")
@@ -58,8 +60,18 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     p_noise = float(np.mean(segment**2))
     if p_clean <= 0.0 or p_noise <= 0.0:
         raise ValueError("cannot set SNR with silent input")
-    alpha = np.sqrt(p_clean / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
-    return Signal(clean.samples + alpha * segment, clean.sample_rate)
+    try:
+        alpha = np.sqrt(p_clean / (p_noise * 10.0 ** (spec.snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) left float64's range
+        alpha = np.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = clean.samples + alpha * segment
+    if not (alpha > 0.0 and np.all(np.isfinite(mixed))):
+        raise ValueError(
+            f"snr_db {spec.snr_db:g} is out of range for these signals: the noise scale "
+            f"or the mixture leaves float64's range"
+        )
+    return Signal(mixed, clean.sample_rate)
 
 
 def _is_finite(value) -> bool:

@@ -312,6 +312,17 @@ def test_mix_hits_requested_snr(corpus):
     assert abs(got - 10.0) < 0.05
 
 
+@pytest.mark.parametrize("snr", ["1e6", "10000", "-1e4"])
+def test_mix_rejects_an_snr_past_float_range(corpus, capsys, snr):
+    out = corpus / "m.wav"
+    assert run(["mix", "--clean", corpus / "clean.wav", "--noise", corpus / "noise.wav",
+                f"--snr={snr}", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: snr_db ") and "out of range" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_eval_csv_format(corpus):
     csv_path = corpus / "report.csv"
     run(["eval", "--reference", corpus / "clean.wav", "--test", corpus / "noisy.wav",
@@ -589,6 +600,19 @@ def test_cli_errors_exit_one(tmp_path, capsys):
                 "--in", tmp_path / "missing.wav", "--out", tmp_path / "o.wav"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+def test_enhance_rejects_an_empty_directory_and_a_missing_path(corpus, capsys):
+    model = corpus / "model.snm"
+    run(["train", "--method", "stft-nmf", "--clean", corpus / "clean.wav",
+         "--noise", corpus / "noise.wav", "--out", model, *TRAIN_FLAGS])
+    (corpus / "empty").mkdir()
+    for path, message in ((corpus / "empty", "directory contains no .wav files"),
+                          (corpus / "missing.wav", "no such file")):
+        capsys.readouterr()
+        assert run(["enhance", "--model", model, "--in", path, "--out", corpus / "o"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (corpus / "o").exists()
 
 
 def test_cli_bad_snr_input(tmp_path, capsys):

@@ -151,8 +151,24 @@ def test_frame_count_matches_enumeration():
 
 
 def test_too_short_signal_rejected():
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(ValueError, match="^signal too short: 100 samples, frame size is 256$"):
         frame_signal(make_signal(100).samples, FrameSpec(256, 80))
+
+
+@pytest.mark.parametrize("shape", [(3, 40), (40, 3), ()])
+def test_frame_signal_rejects_a_signal_that_is_not_one_dimensional(shape):
+    with pytest.raises(ValueError, match="^signal samples must be one-dimensional$"):
+        frame_signal(np.zeros(shape), FrameSpec(4, 1))
+
+
+@pytest.mark.parametrize("frames, message", [
+    (np.ones(8), "frame matrix must be a non-empty 2-D array"),
+    (np.ones((8, 0)), "frame matrix must be a non-empty 2-D array"),
+    (np.ones((6, 3)), "frame matrix row count must equal frame_size"),
+])
+def test_overlap_add_rejects_a_frame_matrix_of_another_shape(frames, message):
+    with pytest.raises(ValueError, match=message):
+        overlap_add(frames, FrameSpec(8, 4), 16)
 
 
 def test_overlap_add_constant_frames():

@@ -82,6 +82,13 @@ def test_ssnr_shorter_than_one_segment_rejected_saying_so():
         ssnr(short, short)
 
 
+def test_ssnr_rejects_a_rate_below_one_sample_per_segment():
+    # 32 ms at 15 Hz rounds to no sample
+    slow = Signal(np.ones(100), 15)
+    with pytest.raises(ValueError, match="segment length must be at least one sample"):
+        ssnr(slow, slow)
+
+
 def test_ssnr_all_silent_rejected():
     silent = Signal(np.zeros(4 * SEG), 8000)
     with pytest.raises(ValueError, match="non-silent"):

@@ -90,6 +90,29 @@ def test_mix_rejects_silence_and_rate_mismatch():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("snr_db", [1e4, -1e4, 1e6, -1e300, 3100.0, -3100.0])
+def test_mix_rejects_an_snr_past_float_range(snr_db):
+    # 10 ** (snr_db / 10) overflows, or underflows to a zero division
+    with pytest.raises(ValueError, match=r"^snr_db \S+ is out of range for these signals"):
+        mix_at_snr(make_signal(100, seed=0), make_signal(100, seed=1), MixSpec(snr_db))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(snr=st.floats(allow_nan=False, allow_infinity=False),
+       noise_level=st.floats(-150.0, 150.0).map(lambda e: 10.0**e))
+def test_every_finite_snr_mixes_finite_or_names_snr_db(snr, noise_level):
+    clean = make_signal(64, seed=0)
+    noise = Signal(noise_level * make_signal(64, seed=1).samples, 8000)
+    try:
+        mixed = mix_at_snr(clean, noise, MixSpec(snr))
+    except ValueError as e:
+        assert str(e).startswith("snr_db ")
+    else:
+        assert np.all(np.isfinite(mixed.samples))
+
+
+@pytest.mark.filterwarnings("error")
 def test_mix_rejects_empty_input():
     empty, loud = Signal(np.zeros(0), 8000), make_signal(100)
     with pytest.raises(ValueError, match="cannot mix an empty clean signal"):

@@ -414,6 +414,14 @@ def test_huge_level_rejected_without_forming_its_power(tmp_path):
          r"frame_shift must be in \[1, frame_size\]"),
         ("stft", lambda raw: raw.replace(b"frame_size: 64\n", b"frame_size: 66\n", 1),
          "w_speech must have 34 rows"),
+        ("stft", lambda raw: raw.replace(b"frame_size: 64\n", b"frame_size: abc\n", 1),
+         "bad value for 'frame_size': 'abc'"),
+        ("stft", lambda raw: raw.replace(b"matrix w_speech 33 2\n", b"matrix w_speech 33\n", 1),
+         "malformed matrix declaration 'matrix w_speech 33'"),
+        ("stft", lambda raw: raw.replace(b"matrix w_speech 33 2\n", b"matrix w_speech 33 2.0\n", 1),
+         r"malformed matrix declaration 'matrix w_speech 33 2\.0'"),
+        ("stft", lambda raw: raw.replace(b"matrix w_noise 33 3\n", b"matrix w_noise 0 3\n", 1),
+         "matrix w_noise has empty shape"),
         ("dwpt", lambda raw: raw.replace(b"sample_rate: 8000\n", b"sample_rate: 0\n", 1),
          "sample_rate must be a positive whole number, got 0"),
         ("dwpt", lambda raw: raw.replace(b"filter_name: db4\n", b"filter_name: db9\n", 1),
@@ -423,6 +431,7 @@ def test_huge_level_rejected_without_forming_its_power(tmp_path):
          "sigma_clean must be finite and nonnegative"),
     ],
     ids=["repeated-field", "trailing-bytes", "window", "frame-shift", "dictionary-rows",
+         "header-value", "matrix-fields", "matrix-size", "matrix-empty",
          "sample-rate", "filter", "sigma"],
 )
 def test_every_load_error_starts_with_the_path_once(tmp_path, trained, edit, message):

@@ -3,14 +3,17 @@
 Every finite input is either enhanced to a finite signal of its own
 length or rejected with a ValueError; silence in gives silence out;
 gains stay in [0, 1]; and a corrupt model or WAV file raises only
-ValueError.
+ValueError.  `test_boundary_contract` sweeps the geometry too: both
+trainers, a save/load round trip and both enhancers, over lengths near
+the shortest accepted, where a rejection must come before any transform
+and no dwpt band may come out louder than it went in.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from subband_nmf import (
@@ -19,6 +22,7 @@ from subband_nmf import (
     Signal,
     enhance_dwpt,
     enhance_stft,
+    enhance_subbands,
     get_filters,
     load_model,
     read_wav,
@@ -28,6 +32,8 @@ from subband_nmf import (
     train_stft_model,
     write_wav,
 )
+from subband_nmf import spectral, subband
+from subband_nmf.framing import rms
 from subband_nmf.spectral import _ratio_gain
 
 from conftest import make_tone, make_signal
@@ -84,6 +90,119 @@ def test_finite_input_gives_finite_output_or_value_error(samples):
             continue
         assert len(out) == len(samples)
         assert np.all(np.isfinite(out.samples))
+
+
+def shortest_accepted(level, taps, frame_size):
+    """The fewest samples whose 2**level bands each hold a frame and span the filter."""
+    step = 1 << level
+    return max((frame_size - 1) * step + 1, (-(-taps // 2) - 1) * step + 1, step)
+
+
+def waveform(kind, n, amplitude, seed):
+    if kind == "noise":
+        return amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    if kind == "tone":
+        return amplitude * np.sin(0.4 * np.arange(n) + seed)
+    return np.full(n, amplitude)
+
+
+# silence one time in four, else a level from 1e-8 to 1e3
+levels = st.floats(-8.0, 3.0).map(lambda e: 10.0**e)
+amplitudes = st.one_of(levels, levels, levels, st.just(0.0))
+
+
+@st.composite
+def contract_cases(draw):
+    """A geometry, ranks and sweeps, and three signals near the shortest accepted length."""
+    front_end = draw(st.sampled_from(["stft", "haar", "db4", "db8"]))
+    level = 0 if front_end == "stft" else draw(st.integers(1, 3))
+    taps = {"stft": 0, "haar": 2, "db4": 4, "db8": 8}[front_end]
+    frame_size = draw(st.integers(1, 12))
+    spec = FrameSpec(frame_size, draw(st.integers(1, frame_size)))
+    shortest = shortest_accepted(level, taps, frame_size)
+    step = 1 << level
+
+    # too short one time in four, else up to 4 samples per band longer
+    longer = st.integers(0, 4 * step)
+    offsets = st.one_of(longer, longer, longer, st.integers(-2 * step, -1))
+
+    def signal(kind=None):
+        n = max(0, shortest + draw(offsets))
+        kind = kind or draw(st.sampled_from(["noise", "tone", "DC"]))
+        seed = draw(st.integers(0, 3))
+        return Signal(waveform(kind, n, draw(amplitudes), seed), RATE)
+
+    ranks = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sweeps = draw(st.integers(2, 5))
+    return dict(front_end=front_end, level=level, spec=spec, ranks=ranks, sweeps=sweeps,
+                clean=signal(), noise=signal("noise"), noisy=signal())
+
+
+@settings(max_examples=300, deadline=None)
+@given(contract_cases())
+def test_boundary_contract(tmp_path_factory, case):
+    # every input is rejected with a ValueError before any transform, or
+    # enhanced to a finite signal of its length, silence to silence, and on
+    # dwpt no band comes out louder than it went in
+    transforms, band_pairs = [], []
+
+    def counted(transform):
+        def run(*args):
+            transforms.append(transform.__name__)
+            return transform(*args)
+        return run
+
+    def recorded(bands, *args, **kwargs):
+        out = enhance_subbands(bands, *args, **kwargs)
+        band_pairs.append((np.asarray(bands), out))
+        return out
+
+    front_end, spec, sweeps = case["front_end"], case["spec"], case["sweeps"]
+    speech_rank, noise_rank = case["ranks"]
+    train = dict(speech_params=NmfParams(speech_rank, sweeps, seed=0),
+                 noise_params=NmfParams(noise_rank, sweeps, seed=0))
+    encode = NmfParams(speech_rank + noise_rank, sweeps, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subband, "dwpt", counted(subband.dwpt))
+        mp.setattr(spectral, "stft", counted(spectral.stft))
+        mp.setattr(subband, "enhance_subbands", recorded)
+        try:
+            if front_end == "stft":
+                model = train_stft_model([case["clean"]], [case["noise"]], spec, **train)
+            else:
+                model = train_dwpt_model([case["clean"]], [case["noise"]], case["level"],
+                                         front_end, spec, **train)
+        except ValueError as e:
+            event(f"train rejected: {str(e).split(':')[0]}")
+            assert transforms == []
+            return
+        path = tmp_path_factory.getbasetemp() / "contract.snm"
+        save_model(model, path)
+        saved = path.read_bytes()
+        model = load_model(path)
+        save_model(model, path)
+        assert path.read_bytes() == saved
+
+        noisy = case["noisy"]
+        transforms.clear()
+        try:
+            if front_end == "stft":
+                out = enhance_stft(noisy, model, encode)
+            else:
+                out = enhance_dwpt(noisy, model, front_end, encode)
+        except ValueError as e:
+            event(f"enhance rejected: {str(e).split(':')[0]}")
+            assert transforms == []
+            return
+    event("enhanced")
+    assert len(out) == len(noisy)
+    assert np.all(np.isfinite(out.samples))
+    if not np.any(noisy.samples):
+        assert not np.any(out.samples)
+    assert len(band_pairs) == (front_end != "stft")
+    for bands, enhanced in band_pairs:
+        for band, shat in zip(bands, enhanced):
+            assert rms(shat) <= rms(band) * (1.0 + 1e-12)
 
 
 def nonneg(shape, high):

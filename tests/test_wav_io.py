@@ -1,6 +1,7 @@
 """PCM16 WAV round trips and quantization conventions."""
 
 import gc
+import struct
 import sys
 import wave
 
@@ -107,6 +108,18 @@ def test_read_rejects_eight_bit(tmp_path):
         w.setframerate(8000)
         w.writeframes(bytes(range(64)))
     with pytest.raises(ValueError, match="only PCM16"):
+        read_wav(p)
+
+
+def test_read_rejects_a_float_wav_as_unreadable(tmp_path):
+    # format tag 3 (IEEE float): the wave module refuses every tag but PCM
+    data = struct.pack("<4f", 0.1, 0.2, 0.3, 0.4)
+    fmt = struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    p = tmp_path / "float.wav"
+    p.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(ValueError, match=r"not a readable WAV file \(unknown format: 3\)$"):
         read_wav(p)
 
 

@@ -243,6 +243,11 @@ def test_idwpt_length_is_a_whole_number():
             idwpt(bands, f, length)
 
 
+def test_dwpt_rejects_an_empty_signal():
+    with pytest.raises(ValueError, match="^cannot transform an empty signal$"):
+        dwpt(Signal(np.zeros(0), 8000), 1, get_filters("haar"))
+
+
 def test_dwpt_too_deep_rejected():
     with pytest.raises(ValueError, match="too deep"):
         dwpt(make_signal(16), 3, get_filters("db8"))
