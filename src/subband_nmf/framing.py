@@ -114,9 +114,9 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     x[k*shift : k*shift + frame_size].  Trailing samples that do not fill
     a complete frame are dropped.  x must be one-dimensional, and a
     signal shorter than one frame is rejected by `_check_frames` as
-    "signal too short: n samples, frame size is m".  A float32 x gives a float32 matrix, so that training
-    frames its squared bands straight into float32; any other x is read
-    as float64.
+    "signal too short: n samples, frame size is m".  A float32 x gives a
+    float32 matrix, so that training frames its squared bands straight
+    into float32; any other x is read as float64.
     """
     x = _float_array(x)
     if x.ndim != 1:

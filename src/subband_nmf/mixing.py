@@ -42,7 +42,7 @@ def mix_at_snr(clean: Signal, noise: Signal, spec: MixSpec) -> Signal:
     10*log10(P_clean / P_noise_scaled) = snr_db with powers averaged
     over the clean utterance's full extent, so the requested SNR holds
     by construction.  An SNR so far from 0 dB that the scale underflows
-    to zero, or the scale or the mixture overflows (about +-3000 dB at
+    to zero, or the scale or the mixture overflows (about +-3080 dB at
     unit levels), raises a ValueError naming snr_db.
     """
     if clean.sample_rate != noise.sample_rate:
