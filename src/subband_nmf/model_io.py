@@ -3,7 +3,9 @@
 One file per model: an ASCII header of "key: value" lines plus one
 "matrix <name> <rows> <cols>" declaration per stored matrix, a blank
 line, then the raw matrix payloads concatenated in declaration order as
-little-endian float64, row-major.  Matrix values round-trip bit-exactly.
+little-endian float64, row-major.  Matrix values round-trip bit-exactly:
+a trained model's float32 dictionaries are widened exactly, and a loaded
+model holds float64.
 On load this module checks the file format; the model's own rules (depth,
 band count, dictionaries, filter, rate) are checked by its constructors.
 """

@@ -22,7 +22,8 @@ import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
-    FrameSpec, Signal, _check_frames, _overlap_sum, _whole, check_nonneg_matrix, frame_signal
+    FrameSpec, Signal, _check_frames, _float_array, _overlap_sum, _whole, check_nonneg_matrix,
+    frame_signal,
 )
 from .nmf import (
     NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
@@ -125,7 +126,12 @@ def _check_input(model, noisy: Signal, level: int = 0, taps: int = 0) -> None:
 
 @dataclass
 class StftBasisModel:
-    """Per-class power-spectrum dictionaries plus the analysis geometry."""
+    """Per-class power-spectrum dictionaries plus the analysis geometry.
+
+    Float32 dictionaries, as training returns them, are kept as they are;
+    any other input, a loaded model's included, is held as float64.
+    Enhancement encodes in float32 either way, with the same bytes out.
+    """
 
     w_speech: np.ndarray
     w_noise: np.ndarray
@@ -133,8 +139,8 @@ class StftBasisModel:
     sample_rate: int
 
     def __post_init__(self):
-        self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
-        self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
+        self.w_speech = _float_array(self.w_speech)
+        self.w_noise = _float_array(self.w_noise)
         self.sample_rate = _whole(self.sample_rate, "sample_rate")
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
@@ -167,8 +173,8 @@ def _train_pair(clean, noise, features, speech_params, noise_params):
     column-wise and factorized, clean first (by default at SPEECH_RANK and
     NOISE_RANK); only the dictionary factors are kept.  `factorize` runs
     in the features' dtype: both trainers build them in float32, so the
-    dictionaries come back float32, which a model's float64 arrays hold
-    exactly.  A one-item class's matrix is factorized as built, not
+    dictionaries come back float32, and the model holds those arrays as
+    they are.  A one-item class's matrix is factorized as built, not
     copied.  Each matrix dies when its `factorize` returns, before the
     next class's is built.  This is the training twin of `_ratio_gain`.
     """
@@ -233,8 +239,10 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
     The matrix is encoded against the stacked [w_s w_n] (by default with
     ENCODE_ITERS sweeps), and the encoding is split by class with the
     stack's two column views.  Encoding and split run in float32: the
-    features and the stack are cast once, so a feature above float32's
-    range raises "input level too high" under `nmf._reject_overflow`.
+    stack is built in float32 and float64 features are cast once (dwpt's
+    `_band_features` come float32 and are not copied), so a feature above
+    float32's range raises "input level too high" under
+    `nmf._reject_overflow`.
     The float32 matrix dies once encoded and H once split, so the gain is
     formed beside only the two float32 class parts and the stack: about
     two float64 matrices in all.
@@ -244,7 +252,8 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
     stack = np.hstack([w_s, w_n], dtype=np.float32)
     r_s = w_s.shape[1]
     return wiener_gain(*split_reconstruction(
-        stack[:, :r_s], stack[:, r_s:], encode(features().astype(np.float32), stack, params)
+        stack[:, :r_s], stack[:, r_s:],
+        encode(features().astype(np.float32, copy=False), stack, params),
     ))
 
 

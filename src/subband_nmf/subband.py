@@ -19,6 +19,7 @@ from .framing import (
     FrameSpec,
     Signal,
     _check_frames,
+    _float_array,
     _shown,
     _whole,
     frame_count,
@@ -49,15 +50,20 @@ __all__ = [
 
 @dataclass
 class BandModel:
-    """Dictionaries and clean-training rms for one subband."""
+    """Dictionaries and clean-training rms for one subband.
+
+    Float32 dictionaries, as training returns them, are kept as they are;
+    any other input, a loaded model's included, is held as float64.
+    Enhancement encodes in float32 either way, with the same bytes out.
+    """
 
     w_speech: np.ndarray
     w_noise: np.ndarray
     sigma_clean: float
 
     def __post_init__(self):
-        self.w_speech = np.asarray(self.w_speech, dtype=np.float64)
-        self.w_noise = np.asarray(self.w_noise, dtype=np.float64)
+        self.w_speech = _float_array(self.w_speech)
+        self.w_noise = _float_array(self.w_noise)
         if not 0.0 <= self.sigma_clean < np.inf:
             raise ValueError(f"sigma_clean must be finite and nonnegative, got {self.sigma_clean}")
 
@@ -91,6 +97,17 @@ class SubbandBasisModel:
         return 2**self.level
 
 
+def _band_features(band: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """The NMF features of one subband sequence: its squares, framed in float32.
+
+    The band is squared, cast to float32 and then framed, so the frame
+    matrix is never built in float64.  Squaring before framing gives the
+    same matrix as squaring the frames, because framing only copies; a
+    square above float32's range overflows in the cast.
+    """
+    return frame_signal(square_elementwise(band).astype(np.float32), spec)
+
+
 @_reject_overflow
 @_one_blas_thread
 def train_dwpt_model(
@@ -106,11 +123,9 @@ def train_dwpt_model(
 
     The training set is checked before any transform (`_check_training_set`
     at `level`, with the filter's span).  Then, for every band, `_train_pair`
-    learns the pair from each class's squared frame matrices; each band is
-    squared before it is framed, as in `subband_gain`, and cast to float32
-    between the two, so the frame matrix is built in float32 and never
-    exists in float64.  sigma_clean is the rms over the band's
-    concatenated clean samples.  The bands are trained side by side, one
+    learns the pair from each class's `_band_features`, the float32 frame
+    matrices that `subband_gain` encodes too.  sigma_clean is the rms over
+    the band's concatenated clean samples.  The bands are trained side by side, one
     per thread BLAS had, each at one BLAS thread
     (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
     model's bytes do not depend on the thread count.
@@ -125,7 +140,7 @@ def train_dwpt_model(
     def train_band(b):
         w_speech, w_noise = _train_pair(
             clean_sets, noise_sets,
-            lambda s: frame_signal(square_elementwise(s[b]).astype(np.float32), spec),
+            lambda s: _band_features(s[b], spec),
             speech_params, noise_params,
         )
         sigma = rms(np.concatenate([s[b] for s in clean_sets]))
@@ -148,13 +163,13 @@ def subband_gain(
     The squared frame matrix's `_ratio_gain`, speech/(speech+noise)
     floored and clipped as in `wiener_gain`, has its square root taken in
     place and de-framed by averaging overlap-add.  Samples past the last
-    full frame keep the final de-framed value.  The band is squared
-    before it is framed, which gives the same matrix because framing only
-    copies.  The gain core holds about two frame-sized float64 matrices
-    at most (its float32 class parts and the gain), not four.
+    full frame keep the final de-framed value.  The features are the
+    band's `_band_features`, as in training.  The gain core holds about
+    two frame-sized float64 matrices at most (its float32 class parts and
+    the gain), not four.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
-    gain = _ratio_gain(lambda: frame_signal(square_elementwise(s_b), spec), w_s, w_n, params)
+    gain = _ratio_gain(lambda: _band_features(s_b, spec), w_s, w_n, params)
     g = overlap_add(np.sqrt(gain, out=gain), spec, len(s_b))
     covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
     if covered < len(s_b):

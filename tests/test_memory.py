@@ -5,8 +5,10 @@ the matrix is freed once encoded, and the activations once split, before
 the gain is allocated beside the two float32 class reconstructions.
 Training builds and factorizes one class before it builds the next, dwpt
 training frames each squared band straight into float32, and `factorize`
-holds no temporary the size of its input.  The peaks are
-tracemalloc's, which sees every numpy buffer and none of BLAS's own.
+holds no temporary the size of its input.  A trained model keeps the
+float32 dictionaries `factorize` returns, 4 bytes per entry, instead of
+copying them up to float64.  The peaks are tracemalloc's, which sees
+every numpy buffer and none of BLAS's own.
 """
 
 import threading
@@ -103,6 +105,20 @@ def test_dwpt_training_frames_each_band_in_float32(monkeypatch):
         clean, noise, 1, "db4", spec, speech_params=params, noise_params=params
     ))
     assert peak < 1.6 * frame_matrix
+
+
+def test_trained_dwpt_model_holds_four_bytes_per_dictionary_entry():
+    # the paper's largest object is the dwpt model, one dictionary pair per
+    # band; copied up to float64 it takes 8 bytes per entry
+    params = NmfParams(rank=2, max_iters=2)
+    model = train_dwpt_model(
+        [make_tone(500.0, 0.5)], [synth_white_noise(0.5, 8000, 0, 0.5)], 2, "db4",
+        FrameSpec(32, 8), speech_params=params, noise_params=params,
+    )
+    dictionaries = [w for band in model.per_band for w in (band.w_speech, band.w_noise)]
+    entries = sum(w.size for w in dictionaries)
+    assert entries == 2**2 * 2 * 32 * 2
+    assert sum(w.nbytes for w in dictionaries) == 4 * entries
 
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])

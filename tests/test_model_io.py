@@ -12,6 +12,7 @@ from subband_nmf import (
     Signal,
     StftBasisModel,
     SubbandBasisModel,
+    enhance_dwpt,
     enhance_stft,
     get_filters,
     load_model,
@@ -88,6 +89,31 @@ def test_save_is_deterministic(tmp_path):
     save_model(model, a)
     save_model(model, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_loaded_model_enhances_and_saves_like_the_trained_one(tmp_path, front_end):
+    # a trained model holds float32 dictionaries and a loaded one float64;
+    # float32 -> float64 is exact and enhancement encodes in float32 either way
+    if front_end == "dwpt":
+        model = trained_dwpt()
+        enhance = lambda m, x: enhance_dwpt(x, m, "db4")
+        dictionary = lambda m: m.per_band[0].w_speech
+    else:
+        model = trained_stft(tmp_path)
+        enhance = lambda m, x: enhance_stft(x, m)
+        dictionary = lambda m: m.w_speech
+    a, b = tmp_path / "a.snm", tmp_path / "b.snm"
+    save_model(model, a)
+    back = load_model(a)
+    save_model(back, b)
+    assert (dictionary(model).dtype, dictionary(back).dtype) == (np.float32, np.float64)
+    assert a.read_bytes() == b.read_bytes()
+    tone, hiss = make_tone(500.0, 1.0), synth_white_noise(1.0, 8000, 5, 0.3)
+    noisy = Signal(tone.samples + hiss.samples, 8000)
+    out, out_back = enhance(model, noisy).samples, enhance(back, noisy).samples
+    assert out.dtype == out_back.dtype == np.float64
+    assert out.tobytes() == out_back.tobytes()
 
 
 def test_hand_built_minimal_stft_model(tmp_path):

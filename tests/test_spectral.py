@@ -324,14 +324,15 @@ def test_both_enhancers_encode_float32_features(monkeypatch):
 def test_both_trainers_factorize_float32_features(monkeypatch):
     # both trainers hand `factorize` float32 features and get a float32
     # dictionary back, one call per class (per band on dwpt); the models
-    # keep it as float64, which holds it exactly, so enhancement's float32
-    # stack is the trained dictionary.  A direct float64 call still
-    # factorizes in float64.
-    seen, factorize = [], spectral.factorize
+    # hold those very arrays, not a copy.  A model built from float64
+    # arrays keeps float64, and a direct float64 call still factorizes in
+    # float64.
+    seen, returned, factorize = [], [], spectral.factorize
 
     def recording_factorize(v, params):
         res = factorize(v, params)
         seen.append((v.dtype, res.w.dtype))
+        returned.append(res.w)
         return res
 
     monkeypatch.setattr(spectral, "factorize", recording_factorize)
@@ -341,10 +342,16 @@ def test_both_trainers_factorize_float32_features(monkeypatch):
         FrameSpec(32, 8), speech_params=NmfParams(2, 2, 0), noise_params=NmfParams(2, 2, 0),
     )
     assert seen == [(np.float32, np.float32)] * (2 + 2 * 2**2)
-    for model in (stft_model, *dwpt_model.per_band):
-        for w in (model.w_speech, model.w_noise):
-            assert w.dtype == np.float64
-            np.testing.assert_array_equal(w.astype(np.float32), w)
+    held = [w for m in (stft_model, *dwpt_model.per_band) for w in (m.w_speech, m.w_noise)]
+    assert len(held) == len(returned)
+    # bands train side by side, so their calls may come in any order
+    assert {id(w) for w in held} == {id(w) for w in returned}
+    w64 = np.ones((32, 2))
+    for model in (
+        BandModel(w64, w64, 1.0),
+        StftBasisModel(w64[:17], w64[:17], FrameSpec(32, 8), 8000),
+    ):
+        assert model.w_speech.dtype == model.w_noise.dtype == np.float64
     v = np.random.default_rng(0).uniform(0, 1, (9, 7))
     res = factorize(v, NmfParams(rank=3, max_iters=5))
     assert res.w.dtype == res.h.dtype == np.float64
