@@ -26,10 +26,8 @@ say which digests moved, and why, with the change that moved them.
 """
 
 import ctypes
-import glob
 import hashlib
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -65,12 +63,7 @@ SUMMARY_TOLERANCE = 1e-6
 
 def _openblas_strings() -> str:
     """OpenBLAS's core name and build string, from numpy's bundled library."""
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
-                                              "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in nmf._openblas_libs():
         core = getattr(lib, "scipy_openblas_get_corename64_", None)
         config = getattr(lib, "scipy_openblas_get_config64_", None)
         if core is not None and config is not None:

@@ -186,7 +186,8 @@ def check_nonneg_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a 2-D array of finite nonnegative entries and return it as float64.
 
     A float32 array is returned as it is, not copied up, so that `encode`
-    and `factorize` can run in float32.
+    and `factorize` can run in float32; its finiteness message names
+    float32's range, past which a cast to float32 gives inf.
     """
     m = _float_array(m)
     if m.ndim != 2:
@@ -196,7 +197,8 @@ def check_nonneg_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     # NaN propagates through min and max, and an infinity lands in one of them
     lo, hi = m.min(), m.max()
     if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"{name} must contain only finite values")
+        within = " within float32's range" if m.dtype == np.float32 else ""
+        raise ValueError(f"{name} must contain only finite values{within}")
     if lo < 0:
         raise ValueError(f"{name} must contain only nonnegative values")
     return m

@@ -3,9 +3,12 @@
 One file per model: an ASCII header of "key: value" lines plus one
 "matrix <name> <rows> <cols>" declaration per stored matrix, a blank
 line, then the raw matrix payloads concatenated in declaration order as
-little-endian float64, row-major.  Matrix values round-trip bit-exactly:
-a trained model's float32 dictionaries are widened exactly, and a loaded
-model holds float64.
+little-endian float64, row-major.  Models hold float32 dictionaries,
+which float64 stores exactly, so a saved model loads back bit-exactly.
+Each matrix is read as a view of the file's bytes, with no copy of the
+payload, and the model's constructor rounds it to float32 once: a value
+written by other means is rounded to its nearest float32, and one past
+float32's range is refused.
 On load this module checks the file format; the model's own rules (depth,
 band count, dictionaries, filter, rate) are checked by its constructors.
 """
@@ -127,20 +130,17 @@ def _parse(data):
             f"this file declares {', '.join(declared)}"
         )
 
-    payload = data[sep + 2 :]
+    offset = sep + 2
+    size = len(data) - offset
     expected = sum(8 * r * c for _, r, c in matrices)
-    if len(payload) < expected:
-        raise ValueError(f"truncated model file ({len(payload)} payload bytes, need {expected})")
-    if len(payload) > expected:
-        raise ValueError(f"{len(payload) - expected} trailing bytes")
+    if size < expected:
+        raise ValueError(f"truncated model file ({size} payload bytes, need {expected})")
+    if size > expected:
+        raise ValueError(f"{size - expected} trailing bytes")
     arrays = {}
-    offset = 0
     for name, rows, cols in matrices:
-        count = rows * cols
-        arrays[name] = np.frombuffer(
-            payload, dtype="<f8", count=count, offset=offset
-        ).reshape(rows, cols)
-        offset += 8 * count
+        arrays[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
+        offset += 8 * rows * cols
 
     values = [arrays[name] for name in required]
     if kind == _KIND_STFT:

@@ -30,6 +30,7 @@ everything after it, is float64, and so are the transforms and the
 squaring before the features are cast.
 """
 
+import contextlib
 import contextvars
 import ctypes
 import functools
@@ -152,14 +153,20 @@ _OPENBLAS_SYMBOLS = (
 
 
 @functools.cache
-def _blas_threads_api():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+def _openblas_libs() -> tuple:
+    """numpy's bundled OpenBLAS libraries that load, in path order."""
+    libs = []
     for path in sorted(glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
                                               "*openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+        with contextlib.suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    return tuple(libs)
+
+
+@functools.cache
+def _blas_threads_api():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_SYMBOLS:
             get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
             if get is not None and set_ is not None:

@@ -22,8 +22,7 @@ import numpy as np
 
 from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
-    FrameSpec, Signal, _check_frames, _float_array, _overlap_sum, _whole, check_nonneg_matrix,
-    frame_signal,
+    FrameSpec, Signal, _check_frames, _overlap_sum, _whole, check_nonneg_matrix, frame_signal,
 )
 from .nmf import (
     NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
@@ -105,6 +104,19 @@ def _power(values: np.ndarray) -> np.ndarray:
     return np.multiply(mag, mag, out=mag)
 
 
+def _float32_dictionaries(w_speech, w_noise) -> tuple:
+    """The pair in float32, the one precision every model holds; float32 is not copied.
+
+    Trained dictionaries are float32 already; a loaded or hand-built
+    float64 pair is rounded once, here, whatever the caller's error
+    state.  A value past float32's range becomes inf without a warning,
+    so that `_check_dictionaries` refuses it by name; one below float32's
+    subnormals becomes 0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return np.asarray(w_speech, dtype=np.float32), np.asarray(w_noise, dtype=np.float32)
+
+
 def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
     """Reject a dictionary pair unless 2-D with `rows` rows and some columns, finite and >= 0."""
     for name, w in (("w_speech", w_speech), ("w_noise", w_noise)):
@@ -128,9 +140,10 @@ def _check_input(model, noisy: Signal, level: int = 0, taps: int = 0) -> None:
 class StftBasisModel:
     """Per-class power-spectrum dictionaries plus the analysis geometry.
 
-    Float32 dictionaries, as training returns them, are kept as they are;
-    any other input, a loaded model's included, is held as float64.
-    Enhancement encodes in float32 either way, with the same bytes out.
+    The dictionaries are held in float32 however the model is built
+    (`_float32_dictionaries`): trained ones as `factorize` returned them,
+    loaded or hand-built ones rounded once.  A value past float32's range
+    is refused here, as a ValueError naming the dictionary.
     """
 
     w_speech: np.ndarray
@@ -139,8 +152,7 @@ class StftBasisModel:
     sample_rate: int
 
     def __post_init__(self):
-        self.w_speech = _float_array(self.w_speech)
-        self.w_noise = _float_array(self.w_noise)
+        self.w_speech, self.w_noise = _float32_dictionaries(self.w_speech, self.w_noise)
         self.sample_rate = _whole(self.sample_rate, "sample_rate")
         _check_dictionaries(self.w_speech, self.w_noise, self.frame_spec.frame_size // 2 + 1)
 
@@ -173,10 +185,11 @@ def _train_pair(clean, noise, features, speech_params, noise_params):
     column-wise and factorized, clean first (by default at SPEECH_RANK and
     NOISE_RANK); only the dictionary factors are kept.  `factorize` runs
     in the features' dtype: both trainers build them in float32, so the
-    dictionaries come back float32, and the model holds those arrays as
-    they are.  A one-item class's matrix is factorized as built, not
-    copied.  Each matrix dies when its `factorize` returns, before the
-    next class's is built.  This is the training twin of `_ratio_gain`.
+    dictionaries come back float32, the one precision a model holds, and
+    the model keeps those arrays as they are.  A one-item class's matrix
+    is factorized as built, not copied.  Each matrix dies when its
+    `factorize` returns, before the next class's is built.  This is the
+    training twin of `_ratio_gain`.
     """
     if speech_params is None:
         speech_params = NmfParams(rank=SPEECH_RANK)
@@ -239,10 +252,10 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
     The matrix is encoded against the stacked [w_s w_n] (by default with
     ENCODE_ITERS sweeps), and the encoding is split by class with the
     stack's two column views.  Encoding and split run in float32: the
-    stack is built in float32 and float64 features are cast once (dwpt's
-    `_band_features` come float32 and are not copied), so a feature above
-    float32's range raises "input level too high" under
-    `nmf._reject_overflow`.
+    stack is a model's float32 dictionaries side by side, and float64
+    features are cast once (dwpt's `_band_features` come float32 and are
+    not copied), so a feature above float32's range raises "input level
+    too high" under `nmf._reject_overflow`.
     The float32 matrix dies once encoded and H once split, so the gain is
     formed beside only the two float32 class parts and the stack: about
     two float64 matrices in all.

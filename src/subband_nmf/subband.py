@@ -19,7 +19,6 @@ from .framing import (
     FrameSpec,
     Signal,
     _check_frames,
-    _float_array,
     _shown,
     _whole,
     frame_count,
@@ -33,6 +32,7 @@ from .spectral import (
     _check_dictionaries,
     _check_input,
     _check_training_set,
+    _float32_dictionaries,
     _ratio_gain,
     _train_pair,
 )
@@ -52,9 +52,9 @@ __all__ = [
 class BandModel:
     """Dictionaries and clean-training rms for one subband.
 
-    Float32 dictionaries, as training returns them, are kept as they are;
-    any other input, a loaded model's included, is held as float64.
-    Enhancement encodes in float32 either way, with the same bytes out.
+    The dictionaries are held in float32 however the band is built
+    (`spectral._float32_dictionaries`).  A value past float32's range
+    becomes inf here, and `SubbandBasisModel` refuses it by band and name.
     """
 
     w_speech: np.ndarray
@@ -62,8 +62,7 @@ class BandModel:
     sigma_clean: float
 
     def __post_init__(self):
-        self.w_speech = _float_array(self.w_speech)
-        self.w_noise = _float_array(self.w_noise)
+        self.w_speech, self.w_noise = _float32_dictionaries(self.w_speech, self.w_noise)
         if not 0.0 <= self.sigma_clean < np.inf:
             raise ValueError(f"sigma_clean must be finite and nonnegative, got {self.sigma_clean}")
 

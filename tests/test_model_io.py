@@ -1,6 +1,8 @@
 """Bit-exact model serialization and the header's structural checks."""
 
 import hashlib
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,8 +95,8 @@ def test_save_is_deterministic(tmp_path):
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])
 def test_loaded_model_enhances_and_saves_like_the_trained_one(tmp_path, front_end):
-    # a trained model holds float32 dictionaries and a loaded one float64;
-    # float32 -> float64 is exact and enhancement encodes in float32 either way
+    # trained and loaded models both hold float32 dictionaries; the file
+    # stores them as float64, which holds float32 exactly
     if front_end == "dwpt":
         model = trained_dwpt()
         enhance = lambda m, x: enhance_dwpt(x, m, "db4")
@@ -107,13 +109,57 @@ def test_loaded_model_enhances_and_saves_like_the_trained_one(tmp_path, front_en
     save_model(model, a)
     back = load_model(a)
     save_model(back, b)
-    assert (dictionary(model).dtype, dictionary(back).dtype) == (np.float32, np.float64)
+    assert dictionary(model).dtype == dictionary(back).dtype == np.float32
     assert a.read_bytes() == b.read_bytes()
     tone, hiss = make_tone(500.0, 1.0), synth_white_noise(1.0, 8000, 5, 0.3)
     noisy = Signal(tone.samples + hiss.samples, 8000)
     out, out_back = enhance(model, noisy).samples, enhance(back, noisy).samples
     assert out.dtype == out_back.dtype == np.float64
     assert out.tobytes() == out_back.tobytes()
+
+
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+def test_dictionary_value_past_float32_range_is_refused(tmp_path, front_end):
+    # a model holds float32, so a value of 1e39 cannot be held: the load
+    # names the file and the dictionary, and nothing warns
+    model = trained_dwpt() if front_end == "dwpt" else trained_stft(tmp_path)
+    p = tmp_path / "huge.snm"
+    save_model(model, p)
+    data = p.read_bytes()
+    first = data.index(b"\n\n") + 2  # the first w_speech value
+    p.write_bytes(data[:first] + np.array(1e39, dtype="<f8").tobytes() + data[first + 8 :])
+    message = "w_speech must contain only finite values within float32's range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{message}"):
+            load_model(p)
+        if front_end == "stft":
+            huge = np.full(model.w_speech.shape, 1e39)
+            with pytest.raises(ValueError, match=f"^{message}"):
+                StftBasisModel(huge, model.w_noise, model.frame_spec, model.sample_rate)
+        else:
+            # a band does not know its row count; the model checks its bands
+            first = model.per_band[0]
+            huge = BandModel(np.full(first.w_speech.shape, 1e39), first.w_noise, 1.0)
+            bands = [huge, *model.per_band[1:]]
+            with pytest.raises(ValueError, match=f"^band 0 {message}"):
+                SubbandBasisModel(
+                    model.level, model.filter_name, model.frame_spec, bands, model.sample_rate
+                )
+
+
+def test_tiny_dictionary_value_loads_as_zero_under_any_error_state(tmp_path):
+    # rounding to float32 flushes 1e-50 to 0; a caller's error state that
+    # raises on underflow must not turn the load into a FloatingPointError
+    w = np.array([[0.5], [1.5]])
+    p = tmp_path / "tiny.snm"
+    save_model(StftBasisModel(w, w, FrameSpec(2, 1), sample_rate=8000), p)
+    data = p.read_bytes()
+    first = data.index(b"\n\n") + 2  # the first w_speech value
+    p.write_bytes(data[:first] + np.array(1e-50, dtype="<f8").tobytes() + data[first + 8 :])
+    with np.errstate(all="raise"):
+        back = load_model(p)
+    np.testing.assert_array_equal(back.w_speech, np.array([[0.0], [1.5]], dtype=np.float32))
 
 
 def test_hand_built_minimal_stft_model(tmp_path):
@@ -378,28 +424,36 @@ def test_unknown_kind(tmp_path):
 
 
 # sha256 of the v1 files saved from the hand-built models below; fixed
-# arrays and no training, so the bytes do not depend on BLAS.
-GOLDEN_STFT_SHA256 = "9f6b72137fefbf88874f0ef246b75b0bee65860b6277cea81632e7abadc4cc5c"
-GOLDEN_DWPT_SHA256 = "73310b2c801ef41903d71462b9373ffec804589f8790b3c84318172acf7addbb"
+# arrays and no training, so the bytes do not depend on BLAS.  A model
+# holds float32, so the k/7 grid is saved as its float32 rounding.
+GOLDEN_STFT_SHA256 = "8353dded2662a35539fb59d5a1697cf3fc8420d49bf3071a108c23d9e02cb1ea"
+GOLDEN_DWPT_SHA256 = "930589deadd8dac6b8e47650481542c95841f48068a3ba584ef3b2e2cf3862d7"
 
 
 def test_saved_bytes_match_golden_digest(tmp_path):
     grid = np.arange(1.0, 16.0).reshape(5, 3) / 7.0
-    stft_model = StftBasisModel(
-        grid[:, :1], grid[:, 1:], FrameSpec(8, 4), sample_rate=8000
-    )
+    stft_matrices = [grid[:, :1], grid[:, 1:]]
+    stft_model = StftBasisModel(*stft_matrices, FrameSpec(8, 4), sample_rate=8000)
+    band_matrices = [[grid[:4, :1] * (b + 1), grid[:4, 1:] / (b + 1)] for b in range(2)]
     bands = [
-        BandModel(grid[:4, :1] * (b + 1), grid[:4, 1:] / (b + 1), sigma_clean=0.25 * b + 0.5)
-        for b in range(2)
+        BandModel(w_s, w_n, sigma_clean=0.25 * b + 0.5)
+        for b, (w_s, w_n) in enumerate(band_matrices)
     ]
     dwpt_model = SubbandBasisModel(
         level=1, filter_name="haar", frame_spec=FrameSpec(4, 2), per_band=bands,
         sample_rate=16000,
     )
-    for model, digest in ((stft_model, GOLDEN_STFT_SHA256), (dwpt_model, GOLDEN_DWPT_SHA256)):
+    dwpt_matrices = [w for pair in band_matrices for w in pair] + [np.array([[0.5, 0.75]])]
+    for model, matrices, digest in (
+        (stft_model, stft_matrices, GOLDEN_STFT_SHA256),
+        (dwpt_model, dwpt_matrices, GOLDEN_DWPT_SHA256),
+    ):
         p = tmp_path / "golden.snm"
         save_model(model, p)
         assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        saved = np.frombuffer(p.read_bytes().split(b"\n\n", 1)[1], dtype="<f8")
+        rounded = np.concatenate([m.astype(np.float32).ravel() for m in matrices])
+        np.testing.assert_array_equal(saved, rounded)
 
 
 def test_level_zero_rejected(tmp_path):

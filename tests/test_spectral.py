@@ -325,8 +325,8 @@ def test_both_trainers_factorize_float32_features(monkeypatch):
     # both trainers hand `factorize` float32 features and get a float32
     # dictionary back, one call per class (per band on dwpt); the models
     # hold those very arrays, not a copy.  A model built from float64
-    # arrays keeps float64, and a direct float64 call still factorizes in
-    # float64.
+    # arrays holds them rounded to float32, and a direct float64 call
+    # still factorizes in float64.
     seen, returned, factorize = [], [], spectral.factorize
 
     def recording_factorize(v, params):
@@ -346,12 +346,13 @@ def test_both_trainers_factorize_float32_features(monkeypatch):
     assert len(held) == len(returned)
     # bands train side by side, so their calls may come in any order
     assert {id(w) for w in held} == {id(w) for w in returned}
-    w64 = np.ones((32, 2))
-    for model in (
-        BandModel(w64, w64, 1.0),
-        StftBasisModel(w64[:17], w64[:17], FrameSpec(32, 8), 8000),
+    w64 = np.arange(1.0, 65.0).reshape(32, 2) / 7.0
+    for model, rows in (
+        (BandModel(w64, w64, 1.0), 32),
+        (StftBasisModel(w64[:17], w64[:17], FrameSpec(32, 8), 8000), 17),
     ):
-        assert model.w_speech.dtype == model.w_noise.dtype == np.float64
+        assert model.w_speech.dtype == model.w_noise.dtype == np.float32
+        np.testing.assert_array_equal(model.w_speech, w64[:rows].astype(np.float32))
     v = np.random.default_rng(0).uniform(0, 1, (9, 7))
     res = factorize(v, NmfParams(rank=3, max_iters=5))
     assert res.w.dtype == res.h.dtype == np.float64
@@ -443,15 +444,16 @@ def test_enhance_rejects_input_shorter_than_one_frame_before_stft(monkeypatch):
 
 
 def test_enhance_stft_rejects_overflow_inside_encode():
-    # the power spectrum is finite but W^T V overflows; the overflow raises
-    # at once, whatever the caller's error state, as one ValueError about
-    # the input level and no warning
+    # the float32 power spectrum is finite but W^T V overflows; the overflow
+    # raises at once, whatever the caller's error state, as one ValueError
+    # about the input level and no warning.  The dictionary is inside
+    # float32's range, which a model's dictionaries must be.
     spec = FrameSpec(16, 4)
-    w = np.full((9, 2), 1e150)
+    w = np.full((9, 2), 1e30)
     model = StftBasisModel(w, w, spec, sample_rate=8000)
-    noisy = Signal(1e100 * make_signal(64).samples, 8000)
+    noisy = Signal(1e12 * make_signal(64).samples, 8000)
     with np.errstate(over="raise"):
-        assert np.all(np.isfinite(np.abs(stft(noisy, spec)) ** 2))
+        assert np.all(np.isfinite((np.abs(stft(noisy, spec)) ** 2).astype(np.float32)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
