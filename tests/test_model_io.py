@@ -49,6 +49,13 @@ def trained_dwpt():
     )
 
 
+def rewrite_first_value(path, value):
+    """Overwrite the first payload value of a saved model file, the first w_speech entry."""
+    data = path.read_bytes()
+    first = data.index(b"\n\n") + 2
+    path.write_bytes(data[:first] + np.array(value, dtype="<f8").tobytes() + data[first + 8 :])
+
+
 def build_file(path, header_lines, blobs):
     with open(path, "wb") as f:
         f.write("".join(line + "\n" for line in header_lines).encode("ascii"))
@@ -125,9 +132,7 @@ def test_dictionary_value_past_float32_range_is_refused(tmp_path, front_end):
     model = trained_dwpt() if front_end == "dwpt" else trained_stft(tmp_path)
     p = tmp_path / "huge.snm"
     save_model(model, p)
-    data = p.read_bytes()
-    first = data.index(b"\n\n") + 2  # the first w_speech value
-    p.write_bytes(data[:first] + np.array(1e39, dtype="<f8").tobytes() + data[first + 8 :])
+    rewrite_first_value(p, 1e39)
     message = "w_speech must contain only finite values within float32's range"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -139,8 +144,8 @@ def test_dictionary_value_past_float32_range_is_refused(tmp_path, front_end):
                 StftBasisModel(huge, model.w_noise, model.frame_spec, model.sample_rate)
         else:
             # a band does not know its row count; the model checks its bands
-            first = model.per_band[0]
-            huge = BandModel(np.full(first.w_speech.shape, 1e39), first.w_noise, 1.0)
+            band = model.per_band[0]
+            huge = BandModel(np.full(band.w_speech.shape, 1e39), band.w_noise, 1.0)
             bands = [huge, *model.per_band[1:]]
             with pytest.raises(ValueError, match=f"^band 0 {message}"):
                 SubbandBasisModel(
@@ -154,9 +159,7 @@ def test_tiny_dictionary_value_loads_as_zero_under_any_error_state(tmp_path):
     w = np.array([[0.5], [1.5]])
     p = tmp_path / "tiny.snm"
     save_model(StftBasisModel(w, w, FrameSpec(2, 1), sample_rate=8000), p)
-    data = p.read_bytes()
-    first = data.index(b"\n\n") + 2  # the first w_speech value
-    p.write_bytes(data[:first] + np.array(1e-50, dtype="<f8").tobytes() + data[first + 8 :])
+    rewrite_first_value(p, 1e-50)
     with np.errstate(all="raise"):
         back = load_model(p)
     np.testing.assert_array_equal(back.w_speech, np.array([[0.0], [1.5]], dtype=np.float32))
