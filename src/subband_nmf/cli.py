@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output WAV file, or directory for batches")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (default %(default)s)")
     p.add_argument("--iters-encode", dest="iters_encode", type=int, default=defaults.ENCODE_ITERS,
-                   help="encoding update sweeps (default %(default)s)")
+                   help="cap on the encoding update sweeps, which stop earlier once "
+                        "the encoding converges (default %(default)s)")
     p.add_argument("--no-normalize", dest="normalize", action="store_false",
                    help="skip subband power normalization")
     _add_seed(p, "RNG")

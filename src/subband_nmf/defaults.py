@@ -15,6 +15,9 @@ SPEECH_RANK = 40
 NOISE_RANK = 160
 TRAIN_ITERS = 200
 ENCODE_ITERS = 50
+# encode stops a column block once a sweep lowers its objective by no more
+# than this fraction; ENCODE_ITERS caps the sweeps
+ENCODE_TOL = 5e-4
 
 # Numerical floor for divisions and matrix entries
 EPSILON = 1e-12

@@ -2,15 +2,17 @@
 
 Two entry points: `factorize` learns both factors (offline dictionary
 training), `encode` solves for activations against a frozen dictionary
-(online decomposition).  Both run a fixed iteration count and record the
-squared-error objective after every full sweep so callers can inspect
-convergence.
+(online decomposition).  `factorize` runs a fixed sweep count;
+`encode` stops each block of columns once its objective converges, with
+the sweep count as the cap.  Both can record the squared-error objective
+of every sweep so callers can inspect convergence.
 
 The objective ||V - WH||^2 is never formed from the m x n residual.  It
 is expanded as ||V||^2 - 2<W^T V, H> + <W^T W, H H^T> (Frobenius inner
 products), whose r x n and r x r products the multiplicative updates form
 anyway, and clamped at 0 because the expansion can cancel to a tiny
-negative value when the fit is exact.
+negative value when the fit is exact.  `encode` reads the last term as
+<W^T W H, H>, from the product its H update forms first.
 
 An enhancement call, or a dwpt training call, runs every matrix product
 at one BLAS thread (`_one_blas_thread`) and spreads its independent work,
@@ -35,13 +37,14 @@ import contextvars
 import ctypes
 import functools
 import glob
+import math
 import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import DEFAULT_SEED, EPSILON, TRAIN_ITERS
+from .defaults import DEFAULT_SEED, ENCODE_TOL, EPSILON, TRAIN_ITERS
 from .framing import _whole, check_nonneg_matrix
 
 __all__ = [
@@ -57,10 +60,12 @@ __all__ = [
 class NmfParams:
     """Knobs for one NMF run.
 
-    rank is the inner dimension r; max_iters the fixed sweep count
-    (no early exit, so runs are reproducible); seed drives the uniform
-    initialization.  Every denominator and every updated entry is floored
-    at defaults.EPSILON, keeping factors strictly positive.
+    rank is the inner dimension r; max_iters the sweep count of
+    `factorize`, and the cap on `encode`'s, which stops earlier once the
+    objective converges (defaults.ENCODE_TOL); seed drives the uniform
+    initialization.  Either way a run is reproducible.  Every denominator
+    and every updated entry is floored at defaults.EPSILON, keeping
+    factors strictly positive.
     """
 
     rank: int
@@ -81,6 +86,11 @@ class NmfResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
+# the narrowest column block `encode` sweeps and stops on, bar a matrix
+# narrower than two of them
+_BLOCK_COLUMNS = 128
+
+
 def _dot(a, b) -> float:
     # the Frobenius inner product <a, b>, without a temporary.  BLAS forms
     # it as `vdot` does, bit for bit, but `matmul` is a ufunc, so numpy
@@ -90,24 +100,28 @@ def _dot(a, b) -> float:
     return float(np.matmul(a.ravel(), b.ravel()))
 
 
-def _objective(v_sq, wt_v, gram, h, hht):
-    # ||V - WH||^2 from ||V||^2, W^T V, W^T W, H and H H^T; see the module
-    # docstring.
-    d = v_sq - 2.0 * _dot(wt_v, h) + _dot(gram, hht)
-    return max(d, 0.0)
+def _objective(v_sq, wt_v, h, a, b) -> float:
+    # ||V - WH||^2 from ||V||^2, W^T V, H and a pair whose inner product is
+    # <W^T W, H H^T>: (W^T W, H H^T) in `factorize`, (W^T W H, H) in
+    # `encode`; see the module docstring.  A float32 dot overflows from
+    # input peaks near 1e8: that raises under `_reject_overflow`, and under
+    # any other error state leaves a nan objective, which never stops an
+    # `encode` block.
+    d = v_sq - 2.0 * _dot(wt_v, h) + _dot(a, b)
+    return max(d, 0.0) if math.isfinite(d) else math.nan
 
 
-def _update_h(wt_v, gram, h, out):
-    # H <- H .* (W^T V) ./ (W^T W H) from the products W^T V and W^T W,
+def _update_h(wt_v, h, gram_h):
+    # H <- H .* (W^T V) ./ (W^T W H) from W^T V and gram_h = W^T W H, which
+    # the caller forms (`encode` reads its objective from it first):
     # denominator floored, result clamped up to EPSILON so no activation
-    # collapses to an absorbing zero.  Writes only `out` (shaped like h, not
+    # collapses to an absorbing zero.  Writes only gram_h (shaped like h, not
     # aliasing any input), in the operation order of the expression
     # max(h * (wt_v / max(gram @ h, EPSILON)), EPSILON), and returns it.
-    np.matmul(gram, h, out=out)
-    np.maximum(out, EPSILON, out=out)
-    np.divide(wt_v, out, out=out)
-    np.multiply(h, out, out=out)
-    return np.maximum(out, EPSILON, out=out)
+    np.maximum(gram_h, EPSILON, out=gram_h)
+    np.divide(wt_v, gram_h, out=gram_h)
+    np.multiply(h, gram_h, out=gram_h)
+    return np.maximum(gram_h, EPSILON, out=gram_h)
 
 
 def _update_w(v, w, h, out):
@@ -289,7 +303,7 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     h_next = np.empty_like(h)
     trace = []
     for _ in range(params.max_iters):
-        h, h_next = _update_h(wt_v, gram, h, h_next), h
+        h, h_next = _update_h(wt_v, h, np.matmul(gram, h, out=h_next)), h
         # a fresh W buffer each sweep, not a swapped pair: the returned W
         # outlives the call as a model dictionary, and keeping a buffer drawn
         # before the loop measured a higher peak RSS in processes that train
@@ -297,8 +311,21 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
         w, hht = _update_w(v, w, h, np.empty_like(w))
         np.matmul(w.T, v, out=wt_v)
         gram = w.T @ w
-        trace.append(_objective(v_sq, wt_v, gram, h, hht))
+        trace.append(_objective(v_sq, wt_v, h, gram, hht))
     return NmfResult(w=w, h=h, objective_trace=trace)
+
+
+def _column_blocks(n: int) -> list:
+    """The bounds of the column blocks `encode` sweeps and stops on, from n alone.
+
+    The count is the largest power of two whose blocks stay at least
+    `_BLOCK_COLUMNS` wide, and the blocks split n as evenly as whole
+    columns allow: one block below 2 * _BLOCK_COLUMNS columns, two up to
+    4 * _BLOCK_COLUMNS, and so on.  A power of two spreads evenly over two
+    or four threads.
+    """
+    count = 1 << max(0, (n // _BLOCK_COLUMNS).bit_length() - 1)
+    return [n * i // count for i in range(count + 1)]
 
 
 def encode(
@@ -309,19 +336,28 @@ def encode(
 ) -> np.ndarray:
     """Solve for H in v ≈ w_fixed H with the dictionary held frozen.
 
-    Only the H update runs, alternating between two (r, n) buffers of its
-    own; v and w_fixed are only read.  The rank comes from w_fixed's
-    column count (params.rank is ignored here).  Pass a list as
-    objective_trace to collect the per-iteration objective, formed like
-    `factorize`'s from the fixed W^T V and W^T W and each sweep's H H^T.
+    Only the H update runs; v and w_fixed are only read.  The rank comes
+    from w_fixed's column count (params.rank is ignored here).
+
+    The columns of H update independently, so they are swept in the
+    fixed blocks of `_column_blocks`, each until its own objective
+    converges: a block stops at the first sweep that starts from an
+    objective no more than defaults.ENCODE_TOL below the previous
+    sweep's, or from a zero objective, and keeps the H it started from.
+    params.max_iters caps the sweeps.  The objective of a block's H is
+    ||V_b||^2 - 2<W^T V_b, H_b> + <W^T W H_b, H_b>, from the products the
+    update forms anyway (see the module docstring), so the stop costs two
+    dot products per sweep.  Pass a list as objective_trace to collect,
+    for every sweep any block started, the sum over blocks of the
+    objective each block's H had then (a stopped block's last one).
 
     Everything runs in v's floating dtype (float32 or float64; any other
     dtype is read as float64), and w_fixed is cast to it.  W^T V, W^T W and
     the seeded initial H are formed whole; H is drawn in float64 and then
-    cast, so both dtypes start from the same draw.  The sweeps
-    update each column on its own, so inside an enhancement call they run
-    on `_threads()` contiguous column blocks side by side.  Outside one,
-    or with an objective trace, the one block is the whole matrix.
+    cast, so both dtypes start from the same draw.  The block bounds
+    depend on n alone, so inside an enhancement call the blocks run side
+    by side on `_threads()` threads, and the result is the same bytes at
+    every thread count.
     """
     v = check_nonneg_matrix(v, "v")
     w_fixed = check_nonneg_matrix(w_fixed, "w_fixed").astype(v.dtype, copy=False)
@@ -334,22 +370,32 @@ def encode(
     h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n)).astype(v.dtype, copy=False)
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
-    v_sq = _dot(v, v) if objective_trace is not None else 0.0
-    blocks = 1 if objective_trace is not None else min(_threads(), n)
+    bounds = _column_blocks(n)
+    traces = [[] for _ in bounds[1:]]
 
     def sweep(i):
-        cols = slice(n * i // blocks, n * (i + 1) // blocks)
+        cols = slice(bounds[i], bounds[i + 1])
         # a block narrower than H is copied: ufuncs on a column slice of a
         # row-major matrix measured at half speed
         wt_v_b, h_b = np.ascontiguousarray(wt_v[:, cols]), np.ascontiguousarray(h[:, cols])
-        h_b_next = np.empty_like(h_b)
+        v_b = np.ascontiguousarray(v[:, cols])
+        v_sq = _dot(v_b, v_b)
+        del v_b
+        gram_h, trace = np.empty_like(h_b), traces[i]
         for _ in range(params.max_iters):
-            h_b, h_b_next = _update_h(wt_v_b, gram, h_b, h_b_next), h_b
-            if objective_trace is not None:
-                objective_trace.append(_objective(v_sq, wt_v_b, gram, h_b, h_b @ h_b.T))
+            d = _objective(v_sq, wt_v_b, h_b, np.matmul(gram, h_b, out=gram_h), h_b)
+            converged = d == 0.0 or (len(trace) > 0 and trace[-1] - d <= ENCODE_TOL * trace[-1])
+            trace.append(d)
+            if converged:
+                break
+            h_b, gram_h = _update_h(wt_v_b, h_b, gram_h), h_b
         h[:, cols] = h_b
 
-    _run_tiles(sweep, blocks)
+    _run_tiles(sweep, len(traces))
+    if objective_trace is not None:
+        objective_trace.extend(
+            sum(t[min(k, len(t) - 1)] for t in traces) for k in range(max(map(len, traces)))
+        )
     return h
 
 

@@ -111,10 +111,19 @@ def _float32_dictionaries(w_speech, w_noise) -> tuple:
     float64 pair is rounded once, here, whatever the caller's error
     state.  A value past float32's range becomes inf without a warning,
     so that `_check_dictionaries` refuses it by name; one below float32's
-    subnormals becomes 0.
+    subnormals becomes 0.  A Python int past even float64's range, which
+    numpy refuses with an OverflowError, is refused here by the same
+    ValueError.
     """
+    def rounded(w, name):
+        try:
+            return np.asarray(w, dtype=np.float32)
+        except OverflowError:
+            message = f"{name} must contain only finite values within float32's range"
+            raise ValueError(message) from None
+
     with np.errstate(over="ignore", under="ignore"):
-        return np.asarray(w_speech, dtype=np.float32), np.asarray(w_noise, dtype=np.float32)
+        return rounded(w_speech, "w_speech"), rounded(w_noise, "w_noise")
 
 
 def _check_dictionaries(w_speech, w_noise, rows: int, where: str = "") -> None:
@@ -250,8 +259,8 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
     """The `wiener_gain` of the feature matrix `features()`, shaped like it.
 
     The matrix is encoded against the stacked [w_s w_n] (by default with
-    ENCODE_ITERS sweeps), and the encoding is split by class with the
-    stack's two column views.  Encoding and split run in float32: the
+    at most ENCODE_ITERS sweeps, fewer once the encoding converges), and
+    the encoding is split by class with the stack's two column views.  Encoding and split run in float32: the
     stack is a model's float32 dictionaries side by side, and float64
     features are cast once (dwpt's `_band_features` come float32 and are
     not copied), so a feature above float32's range raises "input level

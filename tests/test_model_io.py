@@ -153,6 +153,22 @@ def test_dictionary_value_past_float32_range_is_refused(tmp_path, front_end):
                 )
 
 
+@pytest.mark.parametrize("front_end", ["dwpt", "stft"])
+@pytest.mark.parametrize("name", ["w_speech", "w_noise"])
+def test_int_past_float64_range_is_refused_by_dictionary(front_end, name):
+    # numpy refuses to convert 10**400 with an OverflowError; a model built
+    # from a nested list holding it raises the ValueError that names the
+    # dictionary, as a value past float32's range does
+    pair = {"w_speech": [[1], [1]], "w_noise": [[1], [1]]}
+    pair[name] = [[10**400], [1]]
+    message = f"^{name} must contain only finite values within float32's range$"
+    with pytest.raises(ValueError, match=message):
+        if front_end == "stft":
+            StftBasisModel(pair["w_speech"], pair["w_noise"], FrameSpec(2, 1), 8000)
+        else:
+            BandModel(pair["w_speech"], pair["w_noise"], 1.0)
+
+
 def test_tiny_dictionary_value_loads_as_zero_under_any_error_state(tmp_path):
     # rounding to float32 flushes 1e-50 to 0; a caller's error state that
     # raises on underflow must not turn the load into a FloatingPointError

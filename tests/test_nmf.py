@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subband_nmf import NmfParams, encode, factorize, split_reconstruction
-from subband_nmf.defaults import EPSILON
+from subband_nmf.defaults import ENCODE_TOL, EPSILON
 
 from conftest import planted_instance
 
@@ -86,20 +86,91 @@ def test_factorize_matches_residual_loop(case):
     assert min(res.objective_trace) >= 0.0
 
 
+def _residual_encode(v, w, params, h=None):
+    """`encode` on one column block, with the objective taken from the m x n residual.
+
+    Each sweep traces the objective of the H it starts from, and stops
+    there, keeping that H, once the objective is zero or no more than
+    ENCODE_TOL below the previous sweep's.  h is the initial H, by
+    default the seeded draw.
+    """
+    if h is None:
+        h = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (w.shape[1], v.shape[1]))
+    trace = []
+    for _ in range(params.max_iters):
+        d = _residual_objective(v, w, h)
+        converged = d == 0.0 or len(trace) > 0 and trace[-1] - d <= ENCODE_TOL * trace[-1]
+        trace.append(d)
+        if converged:
+            break
+        h = np.maximum(h * ((w.T @ v) / np.maximum((w.T @ w) @ h, EPSILON)), EPSILON)
+    return h, trace
+
+
 def test_encode_trace_matches_residual_and_stays_nonnegative():
     # at this planted fit the unclamped Gram form dips below zero by
-    # roundoff on hundreds of sweeps
+    # roundoff on hundreds of sweeps, and the stop fires once roundoff
+    # holds the objective up; until then encode's trace is the prefix of
+    # the residual loop's without a stop
     w0, _, v = planted_instance(16, 40, 5, 1)
     params = NmfParams(rank=5, max_iters=3000, seed=1)
     trace = []
     encode(v, w0, params, objective_trace=trace)
     assert min(trace) >= 0.0
+    assert 2 < len(trace) < params.max_iters
     direct = []
     h = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (5, v.shape[1]))
-    for _ in range(params.max_iters):
-        h = np.maximum(h * ((w0.T @ v) / np.maximum((w0.T @ w0) @ h, EPSILON)), EPSILON)
+    for _ in range(len(trace)):
         direct.append(_residual_objective(v, w0, h))
+        h = np.maximum(h * ((w0.T @ v) / np.maximum((w0.T @ w0) @ h, EPSILON)), EPSILON)
     assert trace == pytest.approx(direct, rel=1e-12, abs=1e-12 * np.sum(v * v))
+
+
+@pytest.mark.parametrize("m, n, rank", [(12, 30, 4), (20, 50, 6), (40, 12, 3), (8, 300, 3)])
+def test_encode_stops_where_the_residual_loop_stops(m, n, rank):
+    # 300 columns make two 150-column blocks, each stopping on its own; the
+    # trace sums the objectives the blocks had at each sweep, a stopped
+    # block's last one included
+    r = np.random.default_rng(m * n * rank)
+    v, w = r.uniform(0, 1, (m, n)), r.uniform(0.1, 1, (m, rank))
+    params = NmfParams(rank=rank, max_iters=1000, seed=3)
+    trace = []
+    h = encode(v, w, params, objective_trace=trace)
+    h0 = np.random.default_rng(params.seed).uniform(EPSILON, 1.0, (rank, n))
+    bounds = [0, n // 2, n] if n == 300 else [0, n]
+    blocks = [_residual_encode(v[:, a:b], w, params, h0[:, a:b])
+              for a, b in zip(bounds, bounds[1:])]
+    lengths = [len(t) for _, t in blocks]
+    assert 2 < min(lengths) and max(lengths) < params.max_iters
+    expected = [sum(t[min(k, len(t) - 1)] for _, t in blocks) for k in range(max(lengths))]
+    assert trace == pytest.approx(expected, rel=1e-12)
+    np.testing.assert_array_equal(h, np.hstack([h_b for h_b, _ in blocks]))
+    if n == 300:
+        assert lengths[0] != lengths[1]
+
+
+def test_encode_max_iters_caps_the_sweeps():
+    r = np.random.default_rng(31)
+    v, w = r.uniform(0, 1, (12, 30)), r.uniform(0.1, 1, (12, 4))
+    _, stopped = _residual_encode(v, w, NmfParams(rank=4, max_iters=1000, seed=0))
+    cap = NmfParams(rank=4, max_iters=len(stopped) // 2, seed=0)
+    trace = []
+    h = encode(v, w, cap, objective_trace=trace)
+    h_ref, ref = _residual_encode(v, w, cap)
+    assert len(trace) == len(ref) == cap.max_iters
+    assert trace == pytest.approx(ref, rel=1e-12)
+    np.testing.assert_array_equal(h, h_ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_encode_of_zero_v_stops_with_h_at_the_floor(dtype):
+    # the first sweep floors every activation; the second starts from the
+    # same objective, and the third is never run
+    w = np.random.default_rng(0).uniform(0.1, 1, (5, 2)).astype(dtype)
+    trace = []
+    h = encode(np.zeros((5, 4), dtype), w, NmfParams(rank=2, max_iters=100, seed=0), trace)
+    assert len(trace) == 3 and trace[1] == trace[2] > 0.0
+    assert h.dtype == dtype and np.all(h == dtype(EPSILON))
 
 
 def test_factorize_deterministic():
@@ -272,8 +343,10 @@ def test_factorize_matches_allocating_updates_bit_for_bit():
 def test_float32_objective_overflow_raises_instead_of_tracing_nan(with_trace):
     # ||V||^2 of these float32 features overflows float32 while every entry,
     # and every update, stays finite: the objective must raise under
-    # errstate(over="raise"), not go on as inf - inf
-    v = np.full((200, 300), 1e17, dtype=np.float32)
+    # errstate(over="raise"), not go on as inf - inf.  encode forms it per
+    # column block, and ||V_b||^2 of each of its two 150-column blocks
+    # overflows too
+    v = np.full((200, 300), 2e17, dtype=np.float32)
     w = np.ones((200, 2), dtype=np.float32)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         if with_trace == "factorize":

@@ -344,8 +344,9 @@ def test_enhance_subbands_rejects_bands_shorter_than_one_frame():
 
 def test_extreme_amplitudes_enhance_or_raise_value_error():
     # every finite input is either enhanced to a finite signal of its own
-    # length or rejected with ValueError, never another exception; near
-    # 1e19 the squared features overflow float32 on their way into the
+    # length or rejected with ValueError, never another exception; from
+    # about 1e8.5 the float32 objective of the encoding's stop overflows,
+    # near 1e19 the squared features overflow float32 on their way into the
     # encoding, and near 1e153 they overflow float64
     dwpt_model = tiny_model()
     stft_model = train_stft_model(
@@ -375,8 +376,10 @@ def test_overflowing_input_raises_one_value_error():
     # input level, no warning.  Training runs in float32 and its H H^T and
     # ||V||^2 scale as the level to the fourth power: at this geometry stft
     # training succeeds up to 1e7.75 and raises from 1e8, dwpt training up
-    # to 1e8.25 and from 1e8.5.  Enhancement raises from about 1e17.  At
-    # 1e7 all six calls succeed.
+    # to 1e8.25 and from 1e8.5.  Enhancement forms the same float32
+    # objective for its stop, and raises from about 1e8.5 here (1e7.75 for
+    # the stft workload model at paper geometry).  At 1e7 all six calls
+    # succeed.
     x = make_signal(1000).samples
     x = x / np.max(np.abs(x))
     tone = make_tone(500.0, 1.5).samples / 0.5

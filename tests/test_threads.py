@@ -200,13 +200,40 @@ def test_stft_repeats_bit_for_bit_and_stays_near_one_thread(blas_threads, stft_m
 
 def test_encode_outside_a_call_keeps_one_block(blas_threads, rng):
     # a direct encode is not an enhancement call: it sweeps H whole at the
-    # caller's BLAS count, as it always did
+    # caller's BLAS count, as it always did, one traced objective per sweep
+    # begun, up to the cap
     blas_threads(2)
     v, w = rng.uniform(size=(16, 40)), rng.uniform(size=(16, 5))
     trace = []
     h = nmf.encode(v, w, PARAMS, trace)
     np.testing.assert_array_equal(nmf.encode(v, w, PARAMS), h)
-    assert len(trace) == PARAMS.max_iters and API[0]() == 2
+    assert 1 < len(trace) <= PARAMS.max_iters and API[0]() == 2
+
+
+def test_bytes_do_not_depend_on_the_thread_count_while_the_stop_fires(
+        blas_threads, dwpt_model, stft_model, corpus, monkeypatch):
+    # a cap no encoding reaches, so every column block stops on its own
+    # objective; the stft features' 622 columns make four blocks, spread
+    # over one, two and three threads
+    noisy, stop = corpus[2], NmfParams(rank=1, max_iters=500, seed=0)
+    sweeps, encode = [], spectral.encode
+
+    def traced(v, w, params):
+        trace = []
+        h = encode(v, w, params, trace)
+        sweeps.append((v.shape[1], len(trace)))
+        return h
+
+    monkeypatch.setattr(spectral, "encode", traced)
+    digests = {}
+    for count in (1, 2, 3):
+        blas_threads(count)
+        digests[count] = (digest(enhance_stft(noisy, stft_model, stop)),
+                          digest(enhance_dwpt(noisy, dwpt_model, "db8", stop)))
+        assert API[0]() == count
+    assert digests[1] == digests[2] == digests[3]
+    assert len(sweeps) == 27 and sweeps[0][0] == 622 and len(nmf._column_blocks(622)) == 5
+    assert max(n for _, n in sweeps) < stop.max_iters
 
 
 def test_overflow_in_a_helper_thread_raises_the_level_error(blas_threads, dwpt_model, corpus,
