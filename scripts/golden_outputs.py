@@ -9,15 +9,13 @@ sweep, which tests/test_golden.py compares on every machine, to within
 SUMMARY_TOLERANCE.  It also stores the sha256 of the PCM16 WAV that
 `write_wav` makes of the output and of the float64 output samples, under
 a fingerprint of the arithmetic that made them (OpenBLAS core and build,
-numpy version and, for stft, the BLAS thread count); the test compares
-those digests only under a stored fingerprint.  The encoding runs in
-float32, so another BLAS kernel moves a few PCM16 samples by one step:
-under OpenBLAS's Haswell and Sandybridge kernels 2 to 46 of the 16,000
-samples moved, the rms by at most 3.4e-8 relative and the SSNR by at
-most 6.0e-8 dB.
-
-The stft outputs are stored at 1 to 4 BLAS threads, set through the
-OpenBLAS setter the library finds.  Run from the repository root:
+and numpy version); the test compares those digests only under a stored
+fingerprint.  Enhancement does the same arithmetic at every BLAS thread
+count, so the count is not part of it.  The encoding runs in float32, so
+another BLAS kernel moves a few PCM16 samples by one step: under
+OpenBLAS's Haswell and Sandybridge kernels 2 to 46 of the 16,000 samples
+moved, the rms by at most 3.4e-8 relative and the SSNR by at most 6.0e-8
+dB.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/golden_outputs.py
 
@@ -55,7 +53,6 @@ RATE = 8000
 SPEC = FrameSpec(64, 16)
 TRAIN = dict(speech_params=NmfParams(3, 40, 11), noise_params=NmfParams(4, 40, 11))
 ENCODE = NmfParams(rank=7, max_iters=30, seed=11)
-STFT_THREADS = (1, 2, 3, 4)
 # relative for the rms, in dB for the SSNR: about 16 times the spread
 # measured between BLAS kernels
 SUMMARY_TOLERANCE = 1e-6
@@ -72,17 +69,13 @@ def _openblas_strings() -> str:
     return "no bundled scipy-openblas found"
 
 
-def fingerprint(front_end: str) -> str:
-    """The key of a front end's stored digests: what decides its output's last bits."""
-    key = f"{_openblas_strings()} | numpy {np.__version__}"
-    if front_end == "stft":
-        api = nmf._blas_threads_api()
-        key += f" | BLAS threads {api[0]() if api else 'unknown'}"
-    return key
+def fingerprint() -> str:
+    """The key of the stored digests: what decides an output's last bits."""
+    return f"{_openblas_strings()} | numpy {np.__version__}"
 
 
 def outputs(front_end: str) -> dict:
-    """One front end's digests and summaries, at the current BLAS thread count."""
+    """One front end's digests and summaries."""
     clean = synth_sweep(2.0, RATE, 3)
     noise = synth_white_noise(2.0, RATE, 4, 0.5)
     noisy = mix_at_snr(clean, noise, MixSpec(0.0, 5))
@@ -109,29 +102,16 @@ def summary_agrees(name: str, stored: float, got: float) -> bool:
     return abs(got - stored) <= SUMMARY_TOLERANCE * (abs(stored) if name == "rms" else 1.0)
 
 
-def _record(entry: dict, got: dict, key: str) -> None:
-    for name in ("rms", "ssnr_db"):
-        if not summary_agrees(name, entry.setdefault(name, got[name]), got[name]):
-            raise SystemExit(f"{name} differs at '{key}': {entry[name]} != {got[name]}")
-    entry.setdefault("digests", {})[key] = {
-        name: got[name] for name in ("pcm16_sha256", "float64_sha256")
-    }
-
-
 def main() -> None:
-    golden = {"dwpt": {}, "stft": {}}
-    _record(golden["dwpt"], outputs("dwpt"), fingerprint("dwpt"))
-    api = nmf._blas_threads_api()
-    if api is None:
-        raise SystemExit("no OpenBLAS thread-count setter found: cannot store stft digests")
-    get, set_ = api
-    before = get()
-    try:
-        for threads in STFT_THREADS:
-            set_(threads)
-            _record(golden["stft"], outputs("stft"), fingerprint("stft"))
-    finally:
-        set_(before)
+    key = fingerprint()
+    golden = {}
+    for front_end in ("dwpt", "stft"):
+        got = outputs(front_end)
+        golden[front_end] = {
+            "rms": got["rms"],
+            "ssnr_db": got["ssnr_db"],
+            "digests": {key: {name: got[name] for name in ("pcm16_sha256", "float64_sha256")}},
+        }
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(json.dumps(golden, indent=2))
 

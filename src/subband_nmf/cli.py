@@ -12,7 +12,6 @@ always makes a batch: each output goes to `<out>/<name>`.
 
 import argparse
 import csv
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -94,21 +93,18 @@ def _set_enhancer(enhance):
     _enhancer = enhance
 
 
-# Variables through which a caller sets the BLAS thread count itself
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _start_worker(enhance, workers):
-    """Pool initializer: `_set_enhancer`, and share the cores among the workers' BLAS.
+    """Pool initializer: `_set_enhancer`, and split the inherited BLAS threads among workers.
 
-    A forked worker keeps the parent's BLAS thread count, so `workers`
-    of them would run workers x that many threads.  Each gets
-    cpu_count // workers instead, unless the caller set the count in one
-    of _BLAS_THREAD_VARS or no thread-count setter is found.
+    A worker starts with the BLAS thread count of the parent, which is the
+    budget of the whole batch, so each of `workers` takes count // workers
+    of it, at least one, as `nmf._one_blas_thread` spreads a call over the
+    count it finds.  Without a thread-count setter nothing is set.
     """
     api = _blas_threads_api()
-    if api is not None and not any(name in os.environ for name in _BLAS_THREAD_VARS):
-        api[1](max(1, (os.cpu_count() or 1) // workers))
+    if api is not None:
+        get, set_ = api
+        set_(max(1, get() // workers))
     _set_enhancer(enhance)
 
 

@@ -158,14 +158,6 @@ def _reject_overflow(fn):
     return guarded
 
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy bundles, newest first
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
 @functools.cache
 def _openblas_libs() -> tuple:
     """numpy's bundled OpenBLAS libraries that load, in path order."""
@@ -179,14 +171,14 @@ def _openblas_libs() -> tuple:
 
 @functools.cache
 def _blas_threads_api():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    """The (get, set) thread-count functions of numpy 2's bundled scipy-openblas, or None."""
     for lib in _openblas_libs():
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
     return None
 
 
