@@ -98,7 +98,7 @@ def _start_worker(enhance, workers):
 
     A worker starts with the BLAS thread count of the parent, which is the
     budget of the whole batch, so each of `workers` takes count // workers
-    of it, at least one, as `nmf._one_blas_thread` spreads a call over the
+    of it, at least one, as `nmf._nmf_call` spreads a call over the
     count it finds.  Without a thread-count setter nothing is set.
     """
     api = _blas_threads_api()

@@ -14,12 +14,12 @@ anyway, and clamped at 0 because the expansion can cancel to a tiny
 negative value when the fit is exact.  `encode` reads the last term as
 <W^T W H, H>, from the product its H update forms first.
 
-An enhancement call, or a dwpt training call, runs every matrix product
-at one BLAS thread (`_one_blas_thread`) and spreads its independent work,
-the subbands or column blocks of H, over as many Python threads as BLAS
-had (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc
-loops.  stft training keeps BLAS's threads: it has two classes to
-spread, and measured slower at one BLAS thread.
+Every public call that runs NMF, training or enhancement on either
+front end, is one `_nmf_call`: it runs every matrix product at one BLAS
+thread, raises one ValueError when the input is too loud, and spreads
+its independent work, the subbands, the two classes of stft training or
+the column blocks of H, over as many Python threads as BLAS had
+(`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc loops.
 
 `factorize` and `encode` run in the floating dtype of their v, and a
 float64 v keeps the float64 solver bit for bit.  Both enhancers hand
@@ -95,8 +95,8 @@ def _dot(a, b) -> float:
     # the Frobenius inner product <a, b>, without a temporary.  BLAS forms
     # it as `vdot` does, bit for bit, but `matmul` is a ufunc, so numpy
     # checks it for overflow: float32 training's ||V||^2 overflows from
-    # input peaks near 1e8, and that raises under `_reject_overflow`
-    # instead of tracing inf - inf.
+    # input peaks near 1e8, and that raises inside an `_nmf_call` instead of
+    # tracing inf - inf.
     return float(np.matmul(a.ravel(), b.ravel()))
 
 
@@ -104,8 +104,8 @@ def _objective(v_sq, wt_v, h, a, b) -> float:
     # ||V - WH||^2 from ||V||^2, W^T V, H and a pair whose inner product is
     # <W^T W, H H^T>: (W^T W, H H^T) in `factorize`, (W^T W H, H) in
     # `encode`; see the module docstring.  A float32 dot overflows from
-    # input peaks near 1e8: that raises under `_reject_overflow`, and under
-    # any other error state leaves a nan objective, which never stops an
+    # input peaks near 1e8: that raises inside an `_nmf_call`, and under any
+    # other error state leaves a nan objective, which never stops an
     # `encode` block.
     d = v_sq - 2.0 * _dot(wt_v, h) + _dot(a, b)
     return max(d, 0.0) if math.isfinite(d) else math.nan
@@ -136,28 +136,6 @@ def _update_w(v, w, h, out):
     return np.maximum(out, EPSILON, out=out), hht
 
 
-def _reject_overflow(fn):
-    """Raise one ValueError about the input level when fn overflows.
-
-    Inputs are finite on entry, so an overflow means the input is too loud
-    to square, or to encode or factorize in float32; numpy raises at the
-    first one, scanning nothing.
-    """
-
-    @functools.wraps(fn)
-    def guarded(*args, **kwargs):
-        try:
-            with np.errstate(over="raise"):
-                return fn(*args, **kwargs)
-        except FloatingPointError:
-            raise ValueError(
-                "input level too high: its features overflow while being squared, "
-                "encoded or factorized; scale the input down"
-            ) from None
-
-    return guarded
-
-
 @functools.cache
 def _openblas_libs() -> tuple:
     """numpy's bundled OpenBLAS libraries that load, in path order."""
@@ -182,8 +160,8 @@ def _blas_threads_api():
     return None
 
 
-# Inside a pinned call, `_local.threads` is how many threads this
-# thread may spread its work over: the BLAS count on entry, or 1 in a tile.
+# Inside an `_nmf_call`, `_local.threads` is how many threads this thread
+# may spread its work over: the BLAS count on entry, or 1 in a tile.
 _local = threading.local()
 # BLAS stays at one thread while any thread is inside a call; the last one
 # out restores the count the first one in saved.  The count is one per
@@ -197,42 +175,55 @@ def _threads() -> int:
     return getattr(_local, "threads", 1)
 
 
-def _one_blas_thread(fn):
-    """Run fn with BLAS at one thread, and `_threads()` at the count BLAS had.
+def _nmf_call(fn):
+    """Make fn a call that runs NMF: one BLAS thread, and one error for a too-loud input.
 
-    A nested call runs inside its caller's region.  Concurrent callers
-    share one saved count, restored by the last one out, on return and
-    on raise.  Without a thread-count setter nothing changes and
-    `_threads()` stays 1.
+    Outside a call, fn runs with BLAS at one thread and `_threads()` at
+    the count BLAS had, under np.errstate(over="raise"): inputs are finite
+    on entry, so an overflow means the input is too loud to square, or to
+    encode or factorize in float32, and it is raised as one ValueError
+    about the input level.  A nested call, inside a call or inside a
+    tile, runs fn as it is, and the outer call converts any overflow.
+    Concurrent callers share one saved count, restored by the last one
+    out, on return and on raise.  Without a thread-count setter BLAS is
+    left alone and `_threads()` stays 1.
     """
 
     @functools.wraps(fn)
-    def pinned(*args, **kwargs):
-        api = None if hasattr(_local, "threads") else _blas_threads_api()
-        if api is None:
+    def call(*args, **kwargs):
+        if hasattr(_local, "threads"):
             return fn(*args, **kwargs)
-        get, set_ = api
-        with _pin_lock:
-            if _pin["depth"] == 0:
-                _pin["saved"] = get()
-                if _pin["saved"] != 1:
-                    set_(1)
-            _pin["depth"] += 1
-            _local.threads = _pin["saved"]
+        api = _blas_threads_api()
+        _local.threads = 1
+        if api is not None:
+            with _pin_lock:
+                if _pin["depth"] == 0:
+                    _pin["saved"] = api[0]()
+                    if _pin["saved"] != 1:
+                        api[1](1)
+                _pin["depth"] += 1
+                _local.threads = _pin["saved"]
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError:
+            raise ValueError(
+                "input level too high: its features overflow while being squared, "
+                "encoded or factorized; scale the input down"
+            ) from None
         finally:
             del _local.threads
-            with _pin_lock:
-                _pin["depth"] -= 1
-                if _pin["depth"] == 0 and _pin["saved"] != 1:
-                    set_(_pin["saved"])
+            if api is not None:
+                with _pin_lock:
+                    _pin["depth"] -= 1
+                    if _pin["depth"] == 0 and _pin["saved"] != 1:
+                        api[1](_pin["saved"])
 
-    return pinned
+    return call
 
 
-def _run_tiles(fn, tiles: int) -> None:
-    """Call fn(i) for every i < tiles over min(_threads(), tiles) threads.
+def _run_tiles(fn, tiles: int) -> list:
+    """[fn(i) for i in range(tiles)], over min(_threads(), tiles) threads.
 
     The calling thread is one of them and takes tiles 0, count, 2 count,
     ...; each helper takes its own stride of tiles in a copy of the
@@ -243,16 +234,14 @@ def _run_tiles(fn, tiles: int) -> None:
     """
     count = min(_threads(), tiles)
     if count <= 1:
-        for i in range(tiles):
-            fn(i)
-        return
-    errors = []
+        return [fn(i) for i in range(tiles)]
+    results, errors = [None] * tiles, []
 
     def work(first):
         _local.threads = 1
         try:
             for i in range(first, tiles, count):
-                fn(i)
+                results[i] = fn(i)
         except BaseException as e:  # re-raised in the calling thread
             errors.append(e)
 
@@ -269,6 +258,7 @@ def _run_tiles(fn, tiles: int) -> None:
             helper.join()
     if errors:
         raise errors[0]
+    return results
 
 
 def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
@@ -363,7 +353,6 @@ def encode(
     gram = w_fixed.T @ w_fixed
     wt_v = w_fixed.T @ v
     bounds = _column_blocks(n)
-    traces = [[] for _ in bounds[1:]]
 
     def sweep(i):
         cols = slice(bounds[i], bounds[i + 1])
@@ -373,7 +362,7 @@ def encode(
         v_b = np.ascontiguousarray(v[:, cols])
         v_sq = _dot(v_b, v_b)
         del v_b
-        gram_h, trace = np.empty_like(h_b), traces[i]
+        gram_h, trace = np.empty_like(h_b), []
         for _ in range(params.max_iters):
             d = _objective(v_sq, wt_v_b, h_b, np.matmul(gram, h_b, out=gram_h), h_b)
             converged = d == 0.0 or (len(trace) > 0 and trace[-1] - d <= ENCODE_TOL * trace[-1])
@@ -382,8 +371,9 @@ def encode(
                 break
             h_b, gram_h = _update_h(wt_v_b, h_b, gram_h), h_b
         h[:, cols] = h_b
+        return trace
 
-    _run_tiles(sweep, len(traces))
+    traces = _run_tiles(sweep, len(bounds) - 1)
     if objective_trace is not None:
         objective_trace.extend(
             sum(t[min(k, len(t) - 1)] for t in traces) for k in range(max(map(len, traces)))

@@ -24,9 +24,7 @@ from .defaults import ENCODE_ITERS, EPSILON, NOISE_RANK, SPEECH_RANK
 from .framing import (
     FrameSpec, Signal, _check_frames, _overlap_sum, _whole, check_nonneg_matrix, frame_signal,
 )
-from .nmf import (
-    NmfParams, _one_blas_thread, _reject_overflow, encode, factorize, split_reconstruction
-)
+from .nmf import NmfParams, _nmf_call, _run_tiles, encode, factorize, split_reconstruction
 
 __all__ = [
     "StftBasisModel",
@@ -99,9 +97,13 @@ def istft(values: np.ndarray, spec: FrameSpec, target_len: int) -> np.ndarray:
 
 
 def _power(values: np.ndarray) -> np.ndarray:
-    """The power spectrum |values|^2 of STFT values, the NMF features."""
+    """The NMF features of STFT values: the power spectrum |values|^2, in float32.
+
+    The power is formed in float64 and cast, so a power above float32's
+    range overflows in the cast.
+    """
     mag = np.abs(values)
-    return np.multiply(mag, mag, out=mag)
+    return np.multiply(mag, mag, out=mag).astype(np.float32)
 
 
 def _float32_dictionaries(w_speech, w_noise) -> tuple:
@@ -188,34 +190,35 @@ def _check_training_set(clean, noise, frame_size: int, level: int = 0, taps: int
 
 
 def _train_pair(clean, noise, features, speech_params, noise_params):
-    """The speech and noise dictionaries learned from one feature space.
+    """The [speech, noise] dictionaries learned from one feature space.
 
     The `features(item)` matrices of each class are concatenated
-    column-wise and factorized, clean first (by default at SPEECH_RANK and
-    NOISE_RANK); only the dictionary factors are kept.  `factorize` runs
-    in the features' dtype: both trainers build them in float32, so the
+    column-wise and factorized (by default at SPEECH_RANK and NOISE_RANK);
+    only the dictionary factors are kept.  The two classes are two tiles
+    (`nmf._run_tiles`): side by side on two threads in a call with two or
+    more, each holding its own class matrix, and clean first, then noise,
+    in a dwpt band tile or outside a call.  `factorize` runs in the
+    features' dtype: both trainers build them in float32, so the
     dictionaries come back float32, the one precision a model holds, and
     the model keeps those arrays as they are.  A one-item class's matrix
-    is factorized as built, not copied.  Each matrix dies when its
-    `factorize` returns, before the next class's is built.  This is the
-    training twin of `_ratio_gain`.
+    is factorized as built, not copied, and dies when its `factorize`
+    returns.  This is the training twin of `_ratio_gain`.
     """
-    if speech_params is None:
-        speech_params = NmfParams(rank=SPEECH_RANK)
-    if noise_params is None:
-        noise_params = NmfParams(rank=NOISE_RANK)
+    classes = ((clean, speech_params or NmfParams(rank=SPEECH_RANK)),
+               (noise, noise_params or NmfParams(rank=NOISE_RANK)))
 
     def class_matrix(items):
         parts = [features(item) for item in items]
         return parts[0] if len(parts) == 1 else np.hstack(parts)
 
-    return tuple(
-        factorize(class_matrix(items), params).w
-        for items, params in ((clean, speech_params), (noise, noise_params))
-    )
+    def train_class(i):
+        items, params = classes[i]
+        return factorize(class_matrix(items), params).w
+
+    return _run_tiles(train_class, 2)
 
 
-@_reject_overflow
+@_nmf_call
 def train_stft_model(
     clean,
     noise,
@@ -230,15 +233,16 @@ def train_stft_model(
 
     `window_name` and `feature_kind` accept only "hamming" and "power".
     The training set is checked first (`_check_training_set`); then
-    `_train_pair` factorizes each class's power spectra, each utterance's
-    formed in float64 and cast to float32, so a power above float32's
-    range raises "input level too high".
+    `_train_pair` factorizes each class's float32 power spectra (`_power`),
+    the two classes side by side, one per thread BLAS had, each at one
+    BLAS thread (`nmf._nmf_call`); the model's bytes do not depend on the
+    thread count.  A power above float32's range raises "input level too
+    high".
     """
     _check_analysis(window_name, feature_kind)
     rate = _check_training_set(clean, noise, spec.frame_size)
     w_speech, w_noise = _train_pair(
-        clean, noise, lambda s: _power(stft(s, spec)).astype(np.float32),
-        speech_params, noise_params,
+        clean, noise, lambda s: _power(stft(s, spec)), speech_params, noise_params,
     )
     return StftBasisModel(w_speech, w_noise, spec, rate)
 
@@ -260,14 +264,13 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
 
     The matrix is encoded against the stacked [w_s w_n] (by default with
     at most ENCODE_ITERS sweeps, fewer once the encoding converges), and
-    the encoding is split by class with the stack's two column views.  Encoding and split run in float32: the
-    stack is a model's float32 dictionaries side by side, and float64
-    features are cast once (dwpt's `_band_features` come float32 and are
-    not copied), so a feature above float32's range raises "input level
-    too high" under `nmf._reject_overflow`.
-    The float32 matrix dies once encoded and H once split, so the gain is
-    formed beside only the two float32 class parts and the stack: about
-    two float64 matrices in all.
+    the encoding is split by class with the stack's two column views.
+    Encoding and split run in the features' dtype, float32 from both front
+    ends' builders (`_power`, `subband._band_features`), and the stack is
+    a model's float32 dictionaries side by side.  The float32 matrix dies
+    once encoded and H once split, so the gain is formed beside only the
+    two float32 class parts and the stack: about two float64 matrices in
+    all.
     """
     if params is None:
         params = NmfParams(rank=w_s.shape[1] + w_n.shape[1], max_iters=ENCODE_ITERS)
@@ -275,12 +278,11 @@ def _ratio_gain(features, w_s: np.ndarray, w_n: np.ndarray, params: NmfParams | 
     r_s = w_s.shape[1]
     return wiener_gain(*split_reconstruction(
         stack[:, :r_s], stack[:, r_s:],
-        encode(features().astype(np.float32, copy=False), stack, params),
+        encode(features(), stack, params),
     ))
 
 
-@_reject_overflow
-@_one_blas_thread
+@_nmf_call
 def enhance_stft(
     noisy: Signal, model: StftBasisModel, params: NmfParams | None = None
 ) -> Signal:
@@ -289,7 +291,7 @@ def enhance_stft(
     The power spectrum's `_ratio_gain` multiplies the magnitudes
     directly while the phase rides along unchanged.  Every
     matrix product runs at one BLAS thread, and the encoding sweeps run
-    on column blocks over the threads BLAS had (`nmf._one_blas_thread`).
+    on column blocks over the threads BLAS had (`nmf._nmf_call`).
     """
     _check_input(model, noisy)
     values = stft(noisy, model.frame_spec)

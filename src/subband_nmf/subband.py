@@ -27,7 +27,7 @@ from .framing import (
     rms,
     square_elementwise,
 )
-from .nmf import NmfParams, _one_blas_thread, _reject_overflow, _run_tiles
+from .nmf import NmfParams, _nmf_call, _run_tiles
 from .spectral import (
     _check_dictionaries,
     _check_input,
@@ -107,8 +107,7 @@ def _band_features(band: np.ndarray, spec: FrameSpec) -> np.ndarray:
     return frame_signal(square_elementwise(band).astype(np.float32), spec)
 
 
-@_reject_overflow
-@_one_blas_thread
+@_nmf_call
 def train_dwpt_model(
     clean,
     noise,
@@ -126,7 +125,7 @@ def train_dwpt_model(
     matrices that `subband_gain` encodes too.  sigma_clean is the rms over
     the band's concatenated clean samples.  The bands are trained side by side, one
     per thread BLAS had, each at one BLAS thread
-    (`nmf._one_blas_thread`), as `enhance_subbands` enhances them; the
+    (`nmf._nmf_call`), as `enhance_subbands` enhances them; the
     model's bytes do not depend on the thread count.
     """
     rate = _check_training_set(
@@ -134,7 +133,6 @@ def train_dwpt_model(
     )
     clean_sets = [dwpt(s, level, filter_name) for s in clean]
     noise_sets = [dwpt(s, level, filter_name) for s in noise]
-    bands = [None] * len(clean_sets[0])
 
     def train_band(b):
         w_speech, w_noise = _train_pair(
@@ -142,14 +140,13 @@ def train_dwpt_model(
             lambda s: _band_features(s[b], spec),
             speech_params, noise_params,
         )
-        sigma = rms(np.concatenate([s[b] for s in clean_sets]))
-        bands[b] = BandModel(w_speech, w_noise, sigma)
+        return BandModel(w_speech, w_noise, rms(np.concatenate([s[b] for s in clean_sets])))
 
-    _run_tiles(train_band, len(bands))
+    bands = _run_tiles(train_band, len(clean_sets[0]))
     return SubbandBasisModel(level, filter_name, spec, bands, rate)
 
 
-@_reject_overflow
+@_nmf_call
 def subband_gain(
     s_b: np.ndarray,
     w_s: np.ndarray,
@@ -165,7 +162,8 @@ def subband_gain(
     full frame keep the final de-framed value.  The features are the
     band's `_band_features`, as in training.  The gain core holds about
     two frame-sized float64 matrices at most (its float32 class parts and
-    the gain), not four.
+    the gain), not four.  A direct call runs at one BLAS thread
+    (`nmf._nmf_call`), so it gives the bytes it gives in `enhance_subbands`.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
     gain = _ratio_gain(lambda: _band_features(s_b, spec), w_s, w_n, params)
@@ -178,8 +176,7 @@ def subband_gain(
     return g
 
 
-@_reject_overflow
-@_one_blas_thread
+@_nmf_call
 def enhance_subbands(
     bands: np.ndarray,
     model: SubbandBasisModel,
@@ -196,7 +193,7 @@ def enhance_subbands(
     is checked: one row per model band, each holding at least one frame
     of the model's frame size (`_check_frames`, as "subbands too
     short").  The bands are enhanced side by side, one per thread BLAS
-    had, each at one BLAS thread (`nmf._one_blas_thread`); a band's bytes
+    had, each at one BLAS thread (`nmf._nmf_call`); a band's bytes
     do not depend on the thread count.
     """
     bands = np.asarray(bands, dtype=np.float64)
@@ -218,8 +215,7 @@ def enhance_subbands(
     return out
 
 
-@_reject_overflow
-@_one_blas_thread
+@_nmf_call
 def enhance_dwpt(
     noisy: Signal,
     model: SubbandBasisModel,

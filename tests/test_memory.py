@@ -3,9 +3,9 @@
 Enhancement builds each feature matrix inside the shared gain core, so
 the matrix is freed once encoded, and the activations once split, before
 the gain is allocated beside the two float32 class reconstructions.
-Training builds and factorizes one class before it builds the next, dwpt
-training frames each squared band straight into float32, and `factorize`
-holds no temporary the size of its input.  A model holds float32
+Each training thread builds and factorizes one class before it builds
+the next, dwpt training frames each squared band straight into float32,
+and `factorize` holds no temporary the size of its input.  A model holds float32
 dictionaries, 4 bytes per entry: a trained one keeps the arrays
 `factorize` returns, and a loaded one owns float32 arrays that
 `load_model` rounded straight from the file's bytes, with no copy of
@@ -161,8 +161,8 @@ def test_load_model_peak_is_the_file_and_its_float32_matrices(tmp_path):
 
 @pytest.mark.parametrize("front_end", ["dwpt", "stft"])
 def test_training_never_holds_both_classes(monkeypatch, front_end):
-    # keyed by thread: dwpt trains its bands side by side, so another
-    # band's class matrix may be alive on another thread
+    # keyed by thread: dwpt trains its bands, and stft its two classes, side
+    # by side, so another class matrix may be alive on another thread
     inputs = defaultdict(list)
 
     def checked_factorize(v, params):

@@ -1,11 +1,11 @@
-"""Enhancement and dwpt training at one BLAS thread, spread over the threads BLAS had.
+"""Training and enhancement at one BLAS thread, spread over the threads BLAS had.
 
-`enhance_dwpt`, `enhance_stft` and `train_dwpt_model` hold BLAS at one
-thread for the whole call and run the subbands (dwpt) or column blocks
-of the encoding sweeps (stft) side by side, on as many threads as BLAS
-had on entry.  `train_stft_model` keeps BLAS's threads.  These tests set
-that count through the OpenBLAS setter the library finds, and restore
-it afterwards.
+Both trainers and both enhancers hold BLAS at one thread for the whole
+call and run the subbands (dwpt), the two classes (stft training) or the
+column blocks of the encoding sweeps (stft enhancement) side by side, on
+as many threads as BLAS had on entry.  These tests set that count
+through the OpenBLAS setter the library finds, and restore it
+afterwards.
 """
 
 import hashlib
@@ -27,6 +27,7 @@ from subband_nmf import (
     load_model,
     mix_at_snr,
     save_model,
+    synth_pink_noise,
     synth_sweep,
     synth_white_noise,
     train_dwpt_model,
@@ -308,9 +309,22 @@ def test_tiles_reraise_the_first_error_after_joining():
         if threading.current_thread() is not threading.main_thread():
             np.float64(1e308) * 10.0
 
+    def tagged(i):
+        return i, threading.current_thread().name
+
+    # one thread, or three threads taking strides of the seven tiles: the
+    # results come back in tile order either way
+    nmf._local.threads = 1
+    try:
+        assert [i for i, _ in nmf._run_tiles(tagged, 7)] == list(range(7))
+    finally:
+        del nmf._local.threads
     nmf._local.threads = 3
     try:
         before = threading.active_count()
+        results = nmf._run_tiles(tagged, 7)
+        assert [i for i, _ in results] == list(range(7))
+        assert len({name for _, name in results}) == 3
         with pytest.raises(KeyError):
             nmf._run_tiles(fail_odd, 5)
         # numpy's errstate is a context variable: helpers run in the caller's
@@ -338,6 +352,33 @@ def test_dwpt_training_bytes_do_not_depend_on_the_thread_count(blas_threads, cor
     at_three = [name for name, _ in seen[32:]]
     assert sorted(at_three.count(name) for name in set(at_three)) == [4, 6, 6]
     assert threading.current_thread().name in at_three
+
+
+def test_stft_training_bytes_do_not_depend_on_the_thread_count(blas_threads, tmp_path,
+                                                               monkeypatch):
+    # the benchmark's stft geometry (frame 256, shift 80, ranks 40 and 160,
+    # 20 sweeps) on 8 s per class, where products on BLAS's own threads
+    # gave other model bytes at two threads than at one
+    clean = [synth_sweep(8.0, 8000, seed=1)]
+    noise = [synth_white_noise(4.0, 8000, seed=2), synth_pink_noise(4.0, 8000, seed=3)]
+    seen = record_factorize_threads(monkeypatch)
+    saved = {}
+    for count in (1, 2, 3):
+        blas_threads(count)
+        model = train_stft_model(clean, noise, FrameSpec(256, 80),
+                                 speech_params=NmfParams(40, 20, 0),
+                                 noise_params=NmfParams(160, 20, 0))
+        saved[count] = model_bytes(model, tmp_path / f"{count}.snm")
+        assert API[0]() == count
+    assert saved[1] == saved[2] == saved[3]
+    # each class factorized at one BLAS thread; from two threads on, the two
+    # classes side by side, one of them in the calling thread
+    assert len(seen) == 6 and {blas for _, blas in seen} == {1}
+    caller = threading.current_thread().name
+    assert {name for name, _ in seen[:2]} == {caller}
+    for pair in (seen[2:4], seen[4:]):
+        names = {name for name, _ in pair}
+        assert len(names) == 2 and caller in names
 
 
 def test_dwpt_training_at_two_threads_is_the_serial_band_loop(blas_threads, corpus, tmp_path):
