@@ -83,35 +83,58 @@ def cmd_train(args) -> int:
 
 
 # The function every `_enhance_one` call applies to a noisy signal, set once
-# per process by `_set_enhancer`: in each pool worker through the pool
+# per process by `_start_worker`: in each pool worker through the pool
 # initializer, so that a task carries only its two paths.
 _enhancer = None
 
 
-def _set_enhancer(enhance):
-    global _enhancer
-    _enhancer = enhance
-
-
 def _start_worker(enhance, workers):
-    """Pool initializer: `_set_enhancer`, and split the inherited BLAS threads among workers.
+    """Set up a process that runs `_enhance_one`: install `enhance`, and take its share of BLAS.
 
-    A worker starts with the BLAS thread count of the parent, which is the
-    budget of the whole batch, so each of `workers` takes count // workers
-    of it, at least one, as `nmf._nmf_call` spreads a call over the
-    count it finds.  Without a thread-count setter nothing is set.
+    Each of a pool's `workers` runs this as its initializer, and an
+    in-process batch runs it with workers=1.  A worker starts with the
+    BLAS thread count of the parent, which is the budget of the whole
+    batch, so each of `workers` takes count // workers of it, at least
+    one, as `nmf._nmf_call` spreads a call over the count it finds.  With
+    one worker, or without a thread-count setter, nothing is set.
     """
+    global _enhancer
     api = _blas_threads_api()
-    if api is not None:
+    if api is not None and workers > 1:
         get, set_ = api
         set_(max(1, get() // workers))
-    _set_enhancer(enhance)
+    _enhancer = enhance
 
 
 def _enhance_one(task):
     in_path, out_path = task
     write_wav(out_path, _enhancer(read_wav(in_path)[0]))
-    return str(out_path)
+    return f"wrote {out_path}"
+
+
+def _each_file(calls) -> int:
+    """Run each (path, call) pair's call in order, print what it returns, and count failures.
+
+    This is the batch rule of `enhance` and `eval`: a ValueError or
+    OSError costs only its own file.  It is printed as
+    `error: <path>: <message>`, and the batch goes on.
+    """
+    failed = 0
+    for path, call in calls:
+        try:
+            print(call())
+        except (ValueError, OSError) as e:
+            failed += 1
+            print(f"error: {path}: {e}", file=sys.stderr)
+    return failed
+
+
+def _batch_status(failed, total) -> int:
+    """The exit status of a batch of `total` inputs, after its summary line if any failed."""
+    if failed:
+        print(f"error: {failed} of {total} inputs failed", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_enhance(args) -> int:
@@ -143,31 +166,21 @@ def cmd_enhance(args) -> int:
         writers[dst] = src
     if batch:
         out.mkdir(parents=True, exist_ok=True)
-    parallel = args.jobs > 1 and len(tasks) > 1
-    if parallel:
-        # the pool starts all its workers at the first submit, so start no
-        # more than there are files
-        workers = min(args.jobs, len(tasks))
+    # the pool starts all its workers at the first submit, so start no more
+    # than there are files
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
         pool = ProcessPoolExecutor(max_workers=workers,
                                    initializer=_start_worker, initargs=(enhance, workers))
     else:
-        _set_enhancer(enhance)
+        _start_worker(enhance, 1)
         pool = nullcontext()
-    failed = 0
     with pool:
-        # one call per file, so that a bad file costs only its own output
-        calls = [pool.submit(_enhance_one, t).result if parallel else partial(_enhance_one, t)
-                 for t in tasks]
-        for task, call in zip(tasks, calls):
-            try:
-                print(f"wrote {call()}")
-            except (ValueError, OSError) as e:
-                failed += 1
-                print(f"error: {task[0]}: {e}", file=sys.stderr)
-    if failed:
-        print(f"error: {failed} of {len(tasks)} inputs failed", file=sys.stderr)
-        return 1
-    return 0
+        # every file is submitted before the first result is read
+        calls = [(t[0], pool.submit(_enhance_one, t).result if workers > 1
+                  else partial(_enhance_one, t)) for t in tasks]
+        failed = _each_file(calls)
+    return _batch_status(failed, len(tasks))
 
 
 def cmd_mix(args) -> int:
@@ -183,23 +196,20 @@ def cmd_eval(args) -> int:
     refs = _expand_audio([args.reference])
     tests = _expand_audio([args.test])
     if not Path(args.reference).is_dir() and not Path(args.test).is_dir():
-        pairs, unmatched = [(refs[0], tests[0])], []
+        by_name = {tests[0].name: refs[0]}
     else:
         by_name = {p.name: p for p in refs}
-        pairs = [(by_name[t.name], t) for t in tests if t.name in by_name]
-        unmatched = [t for t in tests if t.name not in by_name]
-    rows, failed = [], len(unmatched)
-    for ref_path, test_path in pairs:
-        try:
-            report = evaluate(read_wav(ref_path)[0], read_wav(test_path)[0])
-        except (ValueError, OSError) as e:
-            failed += 1
-            print(f"error: {test_path}: {e}", file=sys.stderr)
-            continue
+    rows = []
+
+    def score(test_path):
+        if test_path.name not in by_name:
+            raise ValueError(f"no reference named {test_path.name}")
+        report = evaluate(read_wav(by_name[test_path.name])[0], read_wav(test_path)[0])
         rows.append((str(test_path), report))
-        print(f"file={test_path}")
-        for key, val in report.as_dict().items():
-            print(f"{key}={val:.6f}")
+        return "\n".join([f"file={test_path}"]
+                         + [f"{key}={val:.6f}" for key, val in report.as_dict().items()])
+
+    failed = _each_file((t, partial(score, t)) for t in tests)
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             w = csv.writer(f)
@@ -207,12 +217,7 @@ def cmd_eval(args) -> int:
             for name, report in rows:
                 w.writerow([name] + [f"{v:.12g}" for v in report.as_dict().values()])
         print(f"wrote {args.csv}")
-    for t in unmatched:
-        print(f"error: {t}: no reference named {t.name}", file=sys.stderr)
-    if failed:
-        print(f"error: {failed} of {len(tests)} inputs failed", file=sys.stderr)
-        return 1
-    return 0
+    return _batch_status(failed, len(tests))
 
 
 def cmd_roundtrip(args) -> int:

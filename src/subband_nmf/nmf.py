@@ -334,12 +334,13 @@ def encode(
     objective each block's H had then (a stopped block's last one).
 
     Everything runs in v's floating dtype (float32 or float64; any other
-    dtype is read as float64), and w_fixed is cast to it.  W^T V, W^T W and
-    the seeded initial H are formed whole; H is drawn in float64 and then
-    cast, so both dtypes start from the same draw.  The block bounds
-    depend on n alone, so inside an enhancement call the blocks run side
-    by side on `_threads()` threads, and the result is the same bytes at
-    every thread count.
+    dtype is read as float64), and w_fixed is cast to it.  W^T W and the
+    seeded initial H are formed whole; H is drawn in float64 and then
+    cast, so both dtypes start from the same draw.  Each block forms its
+    own W^T V_b and ||V_b||^2 from its copy of V's columns, inside the
+    tile that sweeps it.  The block bounds depend on n alone, so inside an
+    enhancement call the blocks run side by side on `_threads()` threads,
+    and the result is the same bytes at every thread count.
     """
     v = check_nonneg_matrix(v, "v")
     w_fixed = check_nonneg_matrix(w_fixed, "w_fixed").astype(v.dtype, copy=False)
@@ -351,16 +352,14 @@ def encode(
     rng = np.random.default_rng(params.seed)
     h = rng.uniform(EPSILON, 1.0, size=(w_fixed.shape[1], n)).astype(v.dtype, copy=False)
     gram = w_fixed.T @ w_fixed
-    wt_v = w_fixed.T @ v
     bounds = _column_blocks(n)
 
     def sweep(i):
         cols = slice(bounds[i], bounds[i + 1])
         # a block narrower than H is copied: ufuncs on a column slice of a
         # row-major matrix measured at half speed
-        wt_v_b, h_b = np.ascontiguousarray(wt_v[:, cols]), np.ascontiguousarray(h[:, cols])
-        v_b = np.ascontiguousarray(v[:, cols])
-        v_sq = _dot(v_b, v_b)
+        v_b, h_b = np.ascontiguousarray(v[:, cols]), np.ascontiguousarray(h[:, cols])
+        wt_v_b, v_sq = w_fixed.T @ v_b, _dot(v_b, v_b)
         del v_b
         gram_h, trace = np.empty_like(h_b), []
         for _ in range(params.max_iters):

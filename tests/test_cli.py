@@ -419,6 +419,29 @@ def test_eval_reports_an_unreadable_file_and_goes_on(corpus, capsys, monkeypatch
     ]
 
 
+def test_eval_reports_every_failure_in_file_order(corpus, capsys):
+    # a test file with no reference fails like an unreadable one: in file
+    # order, under one summary line, and without a row
+    refs, tests = corpus / "refs", corpus / "tests"
+    refs.mkdir()
+    tests.mkdir()
+    for name in ("b.wav", "c.wav"):
+        write_wav(refs / name, read_wav(corpus / "clean.wav")[0])
+    write_wav(tests / "a.wav", read_wav(corpus / "noisy.wav")[0])
+    (tests / "b.wav").write_bytes(b"")
+    write_wav(tests / "c.wav", read_wav(corpus / "noisy.wav")[0])
+    csv_path = corpus / "report.csv"
+    assert run(["eval", "--reference", refs, "--test", tests, "--csv", csv_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {tests / 'a.wav'}: no reference named a.wav",
+        f"error: {tests / 'b.wav'}: {tests / 'b.wav'}: not a readable WAV file (EOFError)",
+        "error: 2 of 3 inputs failed",
+    ]
+    with open(csv_path, newline="") as f:
+        assert [row[0] for row in csv.reader(f)][1:] == [str(tests / "c.wav")]
+
+
 def test_roundtrip_command(corpus, capsys):
     assert run(["roundtrip", "--in", corpus / "clean.wav", "--transform", "dwpt",
                 "--level", "3", "--filter", "db8"]) == 0

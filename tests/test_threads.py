@@ -422,7 +422,7 @@ def test_without_a_setter_the_bands_train_serially(blas_threads, corpus, tmp_pat
 ])
 def test_jobs_workers_share_the_cores(monkeypatch, environ, expected):
     # each of 2 workers takes half the BLAS count it inherits, at least one,
-    # whatever thread-count variables are set
+    # whatever thread-count variables are set; one worker sets nothing
     for name, value in environ.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(cli, "_enhancer", None)
@@ -436,3 +436,8 @@ def test_jobs_workers_share_the_cores(monkeypatch, environ, expected):
     monkeypatch.setattr(cli, "_blas_threads_api", lambda: None)
     cli._start_worker(abs, 2)
     assert calls == expected and cli._enhancer is abs
+    # an in-process batch is one worker: it installs its enhancer and leaves
+    # the count alone
+    monkeypatch.setattr(cli, "_blas_threads_api", lambda: (lambda: 4, calls.append))
+    cli._start_worker(len, 1)
+    assert calls == expected and cli._enhancer is len
