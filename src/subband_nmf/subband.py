@@ -4,7 +4,7 @@ The signal is split into 2^J time-domain subband sequences by a wavelet
 packet tree.  Each band gets its own pair of dictionaries trained on
 squared frame matrices, a square-root ratio gain de-framed back to one
 value per sample, and a power renormalization towards the clean-training
-rms, capped at the noisy band's own rms, before the inverse transform
+rms, capped at the enhanced band's own rms, before the inverse transform
 stitches the bands together.  Each band's ratio gain comes from
 `spectral._ratio_gain`, the back end the STFT baseline uses too, and its
 dictionaries from `spectral._train_pair`, the shared training half.
@@ -186,10 +186,11 @@ def enhance_subbands(
     """Apply per-band gain and power normalization to a `dwpt` band matrix.
 
     Returns a new matrix of the same shape.  Normalization scales each
-    enhanced band to its clean-training rms, capped at the rms of the
-    band as it came in: min(sigma_clean, rms(band)) / max(rms(shat),
-    EPSILON).  So no band comes out louder than it went in, and a band
-    whose input or enhanced rms is zero comes out silent.  Only the shape
+    enhanced band to its clean-training rms, capped at the rms the gain
+    left it: min(sigma_clean, rms(shat)) / max(rms(shat), EPSILON).  So
+    it can only attenuate: no band comes out louder than the gain left
+    it, which is no louder than it went in, and a band whose enhanced rms
+    is zero comes out silent.  Only the shape
     is checked: one row per model band, each holding at least one frame
     of the model's frame size (`_check_frames`, as "subbands too
     short").  The bands are enhanced side by side, one per thread BLAS
@@ -209,7 +210,8 @@ def enhance_subbands(
         band, bm, shat = bands[b], model.per_band[b], out[b]
         shat[:] = band * subband_gain(band, bm.w_speech, bm.w_noise, model.frame_spec, params)
         if normalize:
-            shat *= min(bm.sigma_clean, rms(band)) / max(rms(shat), EPSILON)
+            level = rms(shat)
+            shat *= min(bm.sigma_clean, level) / max(level, EPSILON)
 
     _run_tiles(enhance_band, len(bands))
     return out
@@ -228,9 +230,10 @@ def enhance_dwpt(
     The input is checked first (`_check_input`): every one of its
     2^level subbands must hold at least one frame, and the level must not
     be too deep for the filter.  With `normalize` on, each enhanced band
-    is scaled to its clean-training rms but never above the noisy band's
-    own rms (`enhance_subbands`), so the output is never louder than the
-    input band by band; with it off, the bands keep the gain's level.
+    is scaled to its clean-training rms but never above the level the
+    gain left it (`enhance_subbands`), so the renormalization only
+    attenuates; with it off, the bands keep the gain's level.  Either way
+    no band comes out louder than it went in.
     """
     if filter_name != model.filter_name:
         raise ValueError(

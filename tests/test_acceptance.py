@@ -170,8 +170,8 @@ def test_c05_power_normalization():
     params = NmfParams(rank=12, max_iters=50, seed=0)
     noisy = mix_at_snr(synth_sweep(2.0, RATE, 50),
                        synth_white_noise(2.0, RATE, 100, 0.5), MixSpec(0.0, 0))
-    # each band is scaled to its clean-training rms, capped at the input
-    # band's rms; the mixture at 1e-3 makes every band quieter than its sigma
+    # each band is scaled to its clean-training rms, capped at the rms the
+    # gain left it; the mixture at 1e-3 makes every band quieter than its sigma
     worst = 0.0
     checked = capped = 0
     for scale in (1.0, 1e-3):
@@ -179,14 +179,14 @@ def test_c05_power_normalization():
         raw = enhance_subbands(s, model, params, normalize=False)
         normed = enhance_subbands(s, model, params, normalize=True)
         for b, bm in enumerate(model.per_band):
-            target = min(bm.sigma_clean, rms(s[b]))
+            target = min(bm.sigma_clean, rms(raw[b]))
             if rms(raw[b]) <= EPSILON or target == 0.0:
                 continue
             worst = max(worst, abs(rms(normed[b]) - target) / target)
             checked += 1
             capped += target < bm.sigma_clean
     ok = 0 < capped < checked and worst < 1e-9
-    report(5, ok, f"band rms vs min(sigma, input rms): worst rel err {worst:.2e} "
+    report(5, ok, f"band rms vs min(sigma, gained rms): worst rel err {worst:.2e} "
                   f"over {checked} bands, {capped} capped")
 
 

@@ -6,7 +6,8 @@ gains stay in [0, 1]; and a corrupt model or WAV file raises only
 ValueError.  `test_boundary_contract` sweeps the geometry too: both
 trainers, a save/load round trip and both enhancers, over lengths near
 the shortest accepted, where a rejection must come before any transform
-and no dwpt band may come out louder than it went in.
+and no dwpt band may come out louder than it went in.  On noise alone no
+dwpt band may come out louder than the gain left it.
 """
 
 import functools
@@ -20,6 +21,7 @@ from subband_nmf import (
     FrameSpec,
     NmfParams,
     Signal,
+    dwpt,
     enhance_dwpt,
     enhance_stft,
     enhance_subbands,
@@ -28,6 +30,7 @@ from subband_nmf import (
     read_wav,
     save_model,
     subband_gain,
+    synth_white_noise,
     train_dwpt_model,
     train_stft_model,
     write_wav,
@@ -203,6 +206,19 @@ def test_boundary_contract(tmp_path_factory, case):
     for bands, enhanced in band_pairs:
         for band, shat in zip(bands, enhanced):
             assert rms(shat) <= rms(band) * (1.0 + 1e-12)
+
+
+@few
+@given(st.integers(0, 2**16), st.floats(-4.0, 0.0))
+def test_renormalization_never_undoes_the_gain_on_noise(seed, log_amplitude):
+    # on noise alone the gain suppresses, and the renormalization may only
+    # attenuate further: no band comes out louder than the gain left it
+    model = models()[0]
+    bands = dwpt(synth_white_noise(0.25, RATE, seed, 10.0**log_amplitude), model.level, FILTERS)
+    gained = enhance_subbands(bands, model, ENCODE, normalize=False)
+    normed = enhance_subbands(bands, model, ENCODE, normalize=True)
+    for shat, out in zip(gained, normed):
+        assert rms(out) <= rms(shat) * (1.0 + 1e-12)
 
 
 def nonneg(shape, high):

@@ -262,11 +262,14 @@ def test_enhance_normalization_sets_band_rms():
         make_tone(500.0, 1.0), synth_white_noise(1.0, 8000, 17, 0.5), MixSpec(0.0, 2)
     )
     s = dwpt(x, model.level, FILT)
+    # each band goes to its clean-training rms, but never above the rms the
+    # gain left it
+    raw = enhance_subbands(s, model, small_params(5, 30), normalize=False)
     out = enhance_subbands(s, model, small_params(5, 30))
     for b, bm in enumerate(model.per_band):
         got = rms(out[b])
         if got > 1e-12:
-            assert got == pytest.approx(bm.sigma_clean, rel=1e-9)
+            assert got == pytest.approx(min(bm.sigma_clean, rms(raw[b])), rel=1e-9)
 
 
 def test_normalization_scale_arithmetic():

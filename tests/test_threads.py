@@ -94,7 +94,7 @@ def serial_dwpt(noisy, model):
     for band, bm, shat in zip(bands, model.per_band, out):
         shat[:] = band * subband.subband_gain(band, bm.w_speech, bm.w_noise,
                                               model.frame_spec, PARAMS)
-        shat *= min(bm.sigma_clean, rms(band)) / max(rms(shat), EPSILON)
+        shat *= min(bm.sigma_clean, rms(shat)) / max(rms(shat), EPSILON)
     return idwpt(out, model.filter_name, len(noisy))
 
 
