@@ -177,9 +177,9 @@ def cmd_enhance(args) -> int:
         pool = nullcontext()
     with pool:
         # every file is submitted before the first result is read
-        calls = [(t[0], pool.submit(_enhance_one, t).result if workers > 1
-                  else partial(_enhance_one, t)) for t in tasks]
-        failed = _each_file(calls)
+        calls = [pool.submit(_enhance_one, t).result if workers > 1 else partial(_enhance_one, t)
+                 for t in tasks]
+        failed = _each_file(zip(inputs, calls))
     return _batch_status(failed, len(tasks))
 
 
