@@ -122,9 +122,8 @@ def frame_signal(x: np.ndarray, spec: FrameSpec) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("signal samples must be one-dimensional")
     _check_frames(len(x), spec.frame_size, 0, "signal")
-    n = frame_count(len(x), spec)
     windows = np.lib.stride_tricks.sliding_window_view(x, spec.frame_size)
-    return windows[:: spec.frame_shift][:n].T.copy()
+    return windows[:: spec.frame_shift].T.copy()
 
 
 def _overlap_sum(frames: np.ndarray, shift: int, target_len: int) -> np.ndarray:

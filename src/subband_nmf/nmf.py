@@ -14,12 +14,16 @@ anyway, and clamped at 0 because the expansion can cancel to a tiny
 negative value when the fit is exact.  `encode` reads the last term as
 <W^T W H, H>, from the product its H update forms first.
 
-Every public call that runs NMF, training or enhancement on either
-front end, is one `_nmf_call`: it runs every matrix product at one BLAS
+Six public entry points are each one `_nmf_call`: `train_stft_model`,
+`enhance_stft`, `train_dwpt_model`, `subband_gain`, `enhance_subbands`
+and `enhance_dwpt`.  Such a call runs every matrix product at one BLAS
 thread, raises one ValueError when the input is too loud, and spreads
 its independent work, the subbands, the two classes of stft training or
 the column blocks of H, over as many Python threads as BLAS had
 (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc loops.
+`factorize` and `encode` are not entry points of that kind: called
+directly, they run at the caller's BLAS count and errstate, and `encode`
+sweeps its column blocks in the calling thread.
 
 `factorize` and `encode` run in the floating dtype of their v, and a
 float64 v keeps the float64 solver bit for bit.  Both enhancers hand
@@ -111,29 +115,18 @@ def _objective(v_sq, wt_v, h, a, b) -> float:
     return max(d, 0.0) if math.isfinite(d) else math.nan
 
 
-def _update_h(wt_v, h, gram_h):
-    # H <- H .* (W^T V) ./ (W^T W H) from W^T V and gram_h = W^T W H, which
-    # the caller forms (`encode` reads its objective from it first):
-    # denominator floored, result clamped up to EPSILON so no activation
-    # collapses to an absorbing zero.  Writes only gram_h (shaped like h, not
+def _update(numerator, x, denominator):
+    # X <- X .* numerator ./ denominator, the multiplicative update of either
+    # factor: H from (W^T V, W^T W H), W from (V H^T, W H H^T).  The caller
+    # forms both products (`encode` reads its objective from W^T W H first):
+    # denominator floored, result clamped up to EPSILON so no entry collapses
+    # to an absorbing zero.  Writes only denominator (shaped like x, not
     # aliasing any input), in the operation order of the expression
-    # max(h * (wt_v / max(gram @ h, EPSILON)), EPSILON), and returns it.
-    np.maximum(gram_h, EPSILON, out=gram_h)
-    np.divide(wt_v, gram_h, out=gram_h)
-    np.multiply(h, gram_h, out=gram_h)
-    return np.maximum(gram_h, EPSILON, out=gram_h)
-
-
-def _update_w(v, w, h, out):
-    # W <- W .* (V H^T) ./ (W H H^T), same flooring policy and the same
-    # single-buffer scheme as `_update_h`: writes only `out`.  Returns it
-    # and H H^T, which the objective reuses.
-    hht = h @ h.T
-    np.matmul(w, hht, out=out)
-    np.maximum(out, EPSILON, out=out)
-    np.divide(v @ h.T, out, out=out)
-    np.multiply(w, out, out=out)
-    return np.maximum(out, EPSILON, out=out), hht
+    # max(x * (numerator / max(denominator, EPSILON)), EPSILON), and returns it.
+    np.maximum(denominator, EPSILON, out=denominator)
+    np.divide(numerator, denominator, out=denominator)
+    np.multiply(x, denominator, out=denominator)
+    return np.maximum(denominator, EPSILON, out=denominator)
 
 
 @functools.cache
@@ -160,9 +153,11 @@ def _blas_threads_api():
     return None
 
 
-# Inside an `_nmf_call`, `_local.threads` is how many threads this thread
-# may spread its work over: the BLAS count on entry, or 1 in a tile.
-_local = threading.local()
+# Inside an `_nmf_call`, how many threads the current context may spread
+# its work over: the BLAS count on entry, or 1 in a tile; None outside a
+# call.  A thread the caller starts begins with an empty context, so it
+# never inherits a budget.
+_budget = contextvars.ContextVar("budget", default=None)
 # BLAS stays at one thread while any thread is inside a call; the last one
 # out restores the count the first one in saved.  The count is one per
 # process, so this state is too.
@@ -172,7 +167,7 @@ _pin = {"depth": 0, "saved": 1}
 
 def _threads() -> int:
     """The threads the current call may spread its work over; 1 outside a call."""
-    return getattr(_local, "threads", 1)
+    return _budget.get() or 1
 
 
 def _nmf_call(fn):
@@ -182,19 +177,22 @@ def _nmf_call(fn):
     the count BLAS had, under np.errstate(over="raise"): inputs are finite
     on entry, so an overflow means the input is too loud to square, or to
     encode or factorize in float32, and it is raised as one ValueError
-    about the input level.  A nested call, inside a call or inside a
-    tile, runs fn as it is, and the outer call converts any overflow.
-    Concurrent callers share one saved count, restored by the last one
-    out, on return and on raise.  Without a thread-count setter BLAS is
-    left alone and `_threads()` stays 1.
+    about the input level.  The budget and the errstate are context
+    variables, set in the caller's context and reset on return or raise;
+    every share of `_run_tiles` runs in a copy of it.  A nested call,
+    inside a call or inside a tile, sees the budget set and runs fn as it
+    is, and the outer call converts any overflow.  Concurrent callers
+    share one saved count, restored by the last one out, on return and on
+    raise.  Without a thread-count setter BLAS is left alone and
+    `_threads()` stays 1.
     """
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
-        if hasattr(_local, "threads"):
+        if _budget.get() is not None:
             return fn(*args, **kwargs)
         api = _blas_threads_api()
-        _local.threads = 1
+        token = _budget.set(1)
         if api is not None:
             with _pin_lock:
                 if _pin["depth"] == 0:
@@ -202,7 +200,7 @@ def _nmf_call(fn):
                     if _pin["saved"] != 1:
                         api[1](1)
                 _pin["depth"] += 1
-                _local.threads = _pin["saved"]
+                _budget.set(_pin["saved"])
         try:
             with np.errstate(over="raise"):
                 return fn(*args, **kwargs)
@@ -212,7 +210,7 @@ def _nmf_call(fn):
                 "encoded or factorized; scale the input down"
             ) from None
         finally:
-            del _local.threads
+            _budget.reset(token)
             if api is not None:
                 with _pin_lock:
                     _pin["depth"] -= 1
@@ -226,19 +224,18 @@ def _run_tiles(fn, tiles: int) -> list:
     """[fn(i) for i in range(tiles)], over min(_threads(), tiles) threads.
 
     The calling thread is one of them and takes tiles 0, count, 2 count,
-    ...; each helper takes its own stride of tiles in a copy of the
-    caller's context, so numpy's errstate (a context variable) holds
-    there too.  Inside a tile `_threads()` is 1.  Every helper is joined
-    before this returns, and the first exception a tile raised is
-    re-raised.
+    ...; each helper takes its own stride of tiles.  Every share, the
+    caller's included, runs in its own copy of the caller's context, so
+    numpy's errstate holds there too, and `_threads()` is 1 inside a tile
+    and unchanged after it.  At one thread the caller's copy runs every
+    tile in order.  Every helper is joined before this returns, and the
+    first exception a tile raised is re-raised.
     """
     count = min(_threads(), tiles)
-    if count <= 1:
-        return [fn(i) for i in range(tiles)]
     results, errors = [None] * tiles, []
 
     def work(first):
-        _local.threads = 1
+        _budget.set(1)
         try:
             for i in range(first, tiles, count):
                 results[i] = fn(i)
@@ -249,13 +246,9 @@ def _run_tiles(fn, tiles: int) -> list:
                for first in range(1, count)]
     for helper in helpers:
         helper.start()
-    budget = _local.threads
-    try:
-        work(0)
-    finally:
-        _local.threads = budget
-        for helper in helpers:
-            helper.join()
+    contextvars.copy_context().run(work, 0)
+    for helper in helpers:
+        helper.join()
     if errors:
         raise errors[0]
     return results
@@ -285,12 +278,13 @@ def factorize(v: np.ndarray, params: NmfParams) -> NmfResult:
     h_next = np.empty_like(h)
     trace = []
     for _ in range(params.max_iters):
-        h, h_next = _update_h(wt_v, h, np.matmul(gram, h, out=h_next)), h
+        h, h_next = _update(wt_v, h, np.matmul(gram, h, out=h_next)), h
         # a fresh W buffer each sweep, not a swapped pair: the returned W
         # outlives the call as a model dictionary, and keeping a buffer drawn
         # before the loop measured a higher peak RSS in processes that train
         # repeatedly
-        w, hht = _update_w(v, w, h, np.empty_like(w))
+        out, hht = np.empty_like(w), h @ h.T
+        w = _update(v @ h.T, w, np.matmul(w, hht, out=out))
         np.matmul(w.T, v, out=wt_v)
         gram = w.T @ w
         trace.append(_objective(v_sq, wt_v, h, gram, hht))
@@ -368,7 +362,7 @@ def encode(
             trace.append(d)
             if converged:
                 break
-            h_b, gram_h = _update_h(wt_v_b, h_b, gram_h), h_b
+            h_b, gram_h = _update(wt_v_b, h_b, gram_h), h_b
         h[:, cols] = h_b
         return trace
 

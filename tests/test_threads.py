@@ -248,6 +248,12 @@ def test_overflow_in_a_helper_thread_raises_the_level_error(blas_threads, dwpt_m
     loud = [name for name, _, peak in seen if peak > 1e100]
     assert loud and loud[0] != threading.current_thread().name
     assert API[0]() == 2
+    # the failed call left no budget behind: the next one spreads its bands
+    # over two threads again, at one BLAS thread each
+    seen.clear()
+    enhance_subbands(dwpt(corpus[2], dwpt_model.level, "db8"), dwpt_model, PARAMS)
+    assert len({name for name, _, _ in seen}) == 2 and {blas for _, blas, _ in seen} == {1}
+    assert API[0]() == 2 and nmf._budget.get() is None
 
 
 def test_callers_at_once_restore_the_count(blas_threads, dwpt_model, corpus):
@@ -314,12 +320,12 @@ def test_tiles_reraise_the_first_error_after_joining():
 
     # one thread, or three threads taking strides of the seven tiles: the
     # results come back in tile order either way
-    nmf._local.threads = 1
+    token = nmf._budget.set(1)
     try:
         assert [i for i, _ in nmf._run_tiles(tagged, 7)] == list(range(7))
     finally:
-        del nmf._local.threads
-    nmf._local.threads = 3
+        nmf._budget.reset(token)
+    token = nmf._budget.set(3)
     try:
         before = threading.active_count()
         results = nmf._run_tiles(tagged, 7)
@@ -333,7 +339,22 @@ def test_tiles_reraise_the_first_error_after_joining():
         assert threading.active_count() == before
         assert nmf._threads() == 3
     finally:
-        del nmf._local.threads
+        nmf._budget.reset(token)
+
+
+def test_tiles_outside_a_call_run_in_the_caller_and_leave_no_budget(blas_threads, dwpt_model,
+                                                                     corpus, monkeypatch):
+    # a budget left behind would make every later call a nested one, which
+    # pins nothing
+    blas_threads(2)
+    caller = threading.current_thread().name
+    results = nmf._run_tiles(lambda i: (i, threading.current_thread().name, nmf._threads()), 3)
+    assert results == [(i, caller, 1) for i in range(3)]
+    assert nmf._budget.get() is None
+    seen = record_band_threads(monkeypatch)
+    enhance_dwpt(corpus[2], dwpt_model, "db8", PARAMS)
+    assert len({name for name, _, _ in seen}) == 2 and {blas for _, blas, _ in seen} == {1}
+    assert API[0]() == 2 and nmf._budget.get() is None
 
 
 def test_dwpt_training_bytes_do_not_depend_on_the_thread_count(blas_threads, corpus,
