@@ -155,8 +155,8 @@ def _blas_threads_api():
 
 # Inside an `_nmf_call`, how many threads the current context may spread
 # its work over: the BLAS count on entry, or 1 in a tile; None outside a
-# call.  A thread the caller starts begins with an empty context, so it
-# never inherits a budget.
+# call.  On Python 3.10-3.13 a thread the caller starts begins with an
+# empty context, so it never inherits a budget.
 _budget = contextvars.ContextVar("budget", default=None)
 # BLAS stays at one thread while any thread is inside a call; the last one
 # out restores the count the first one in saved.  The count is one per
