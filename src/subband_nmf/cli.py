@@ -96,12 +96,12 @@ def _start_worker(enhance, workers):
     BLAS thread count of the parent, which is the budget of the whole
     batch, so each of `workers` takes count // workers of it, at least
     one, as `nmf._nmf_call` spreads a call over the count it finds.  With
-    one worker, or without a thread-count setter, nothing is set.
+    one worker nothing is set, and without a thread-count setter the set
+    does nothing (`nmf._NO_SETTER`).
     """
     global _enhancer
-    api = _blas_threads_api()
-    if api is not None and workers > 1:
-        get, set_ = api
+    get, set_ = _blas_threads_api()
+    if workers > 1:
         set_(max(1, get() // workers))
     _enhancer = enhance
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["FrameSpec", "Signal", "frame_count", "frame_signal", "overlap_add"]
+
 
 def _shown(value) -> str:
     """str(value); an int too long for str() is described by its bit length instead."""

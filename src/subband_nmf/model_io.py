@@ -3,7 +3,11 @@
 One file per model: an ASCII header of "key: value" lines plus one
 "matrix <name> <rows> <cols>" declaration per stored matrix, a blank
 line, then the raw matrix payloads concatenated in declaration order as
-little-endian float64, row-major.  Models hold float32 dictionaries,
+little-endian float64, row-major.  The declarations come in the kind's
+order (`_matrix_names`): w_speech then w_noise for stft, and for dwpt
+w_speech_<b> then w_noise_<b> for each band b, then sigma_clean.  A file
+that declares the same names in any other order is refused, and the
+payloads are read in that order.  Models hold float32 dictionaries,
 which float64 stores exactly, so a saved model loads back bit-exactly.
 Each matrix is read as a view of the file's bytes, with no copy of the
 payload, and the model's constructor rounds it to float32 once: a value
@@ -19,7 +23,7 @@ from .framing import FrameSpec
 from .spectral import FEATURE_KIND, WINDOW_NAME, StftBasisModel, _check_analysis
 from .subband import BandModel, SubbandBasisModel
 
-__all__ = ["FORMAT_VERSION", "load_model", "save_model"]
+__all__ = ["load_model", "save_model"]
 
 FORMAT_VERSION = 1
 
@@ -124,7 +128,7 @@ def _parse(data):
     declared = [name for name, _, _ in matrices]
     n_bands = len(matrices) // 2  # dwpt: two per band, then sigma_clean
     required = _matrix_names(kind, n_bands)
-    if sorted(declared) != sorted(required):
+    if declared != required:
         raise ValueError(
             f"a {kind} model declares the matrices {', '.join(required)}; "
             f"this file declares {', '.join(declared)}"
@@ -137,12 +141,11 @@ def _parse(data):
         raise ValueError(f"truncated model file ({size} payload bytes, need {expected})")
     if size > expected:
         raise ValueError(f"{size - expected} trailing bytes")
-    arrays = {}
-    for name, rows, cols in matrices:
-        arrays[name] = np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols)
+    values = []
+    for _, rows, cols in matrices:
+        values.append(np.frombuffer(data, "<f8", rows * cols, offset).reshape(rows, cols))
         offset += 8 * rows * cols
 
-    values = [arrays[name] for name in required]
     if kind == _KIND_STFT:
         _check_analysis(_require(fields, "window_name"), _require(fields, "feature_kind"))
         return StftBasisModel(*values, spec, rate)

@@ -21,6 +21,9 @@ thread, raises one ValueError when the input is too loud, and spreads
 its independent work, the subbands, the two classes of stft training or
 the column blocks of H, over as many Python threads as BLAS had
 (`_run_tiles`); numpy releases the GIL in `matmul` and its ufunc loops.
+A machine without numpy's OpenBLAS thread-count setter takes the same
+path with a count that reads 1 (`_blas_threads_api`): its calls run their
+work in the calling thread and leave BLAS alone.
 `factorize` and `encode` are not entry points of that kind: called
 directly, they run at the caller's BLAS count and errstate, and `encode`
 sweeps its column blocks in the calling thread.
@@ -140,9 +143,17 @@ def _openblas_libs() -> tuple:
     return tuple(libs)
 
 
+_NO_SETTER = (lambda: 1, lambda count: None)
+
+
 @functools.cache
 def _blas_threads_api():
-    """The (get, set) thread-count functions of numpy 2's bundled scipy-openblas, or None."""
+    """The (get, set) thread-count functions of numpy 2's bundled scipy-openblas.
+
+    Without them it returns `_NO_SETTER`, whose count reads 1 and whose
+    setter does nothing, so every caller takes the one path: BLAS is left
+    alone and `_threads()` reads 1.
+    """
     for lib in _openblas_libs():
         get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
@@ -150,7 +161,7 @@ def _blas_threads_api():
             get.restype, get.argtypes = ctypes.c_int, []
             set_.restype, set_.argtypes = None, [ctypes.c_int]
             return get, set_
-    return None
+    return _NO_SETTER
 
 
 # Inside an `_nmf_call`, how many threads the current context may spread
@@ -182,25 +193,23 @@ def _nmf_call(fn):
     every share of `_run_tiles` runs in a copy of it.  A nested call,
     inside a call or inside a tile, sees the budget set and runs fn as it
     is, and the outer call converts any overflow.  Concurrent callers
-    share one saved count, restored by the last one out, on return and on
-    raise.  Without a thread-count setter BLAS is left alone and
-    `_threads()` stays 1.
+    share one saved count: the first one in saves it and sets 1, and the
+    last one out restores it, on return and on raise.  There is one path:
+    without a thread-count setter the pair is `_NO_SETTER`, so the saved
+    count, and with it `_threads()`, reads 1 and BLAS is left alone.
     """
 
     @functools.wraps(fn)
     def call(*args, **kwargs):
         if _budget.get() is not None:
             return fn(*args, **kwargs)
-        api = _blas_threads_api()
-        token = _budget.set(1)
-        if api is not None:
-            with _pin_lock:
-                if _pin["depth"] == 0:
-                    _pin["saved"] = api[0]()
-                    if _pin["saved"] != 1:
-                        api[1](1)
-                _pin["depth"] += 1
-                _budget.set(_pin["saved"])
+        get, set_ = _blas_threads_api()
+        with _pin_lock:
+            if _pin["depth"] == 0:
+                _pin["saved"] = get()
+                set_(1)
+            _pin["depth"] += 1
+            token = _budget.set(_pin["saved"])
         try:
             with np.errstate(over="raise"):
                 return fn(*args, **kwargs)
@@ -211,11 +220,10 @@ def _nmf_call(fn):
             ) from None
         finally:
             _budget.reset(token)
-            if api is not None:
-                with _pin_lock:
-                    _pin["depth"] -= 1
-                    if _pin["depth"] == 0 and _pin["saved"] != 1:
-                        api[1](_pin["saved"])
+            with _pin_lock:
+                _pin["depth"] -= 1
+                if _pin["depth"] == 0:
+                    set_(_pin["saved"])
 
     return call
 

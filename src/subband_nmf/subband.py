@@ -21,7 +21,6 @@ from .framing import (
     _check_frames,
     _shown,
     _whole,
-    frame_count,
     frame_signal,
     overlap_add,
     rms,
@@ -159,7 +158,8 @@ def subband_gain(
     The squared frame matrix's `_ratio_gain`, speech/(speech+noise)
     floored and clipped as in `wiener_gain`, has its square root taken in
     place and de-framed by averaging overlap-add.  Samples past the last
-    full frame keep the final de-framed value.  The features are the
+    full frame, which the gain's column count places, keep the final
+    de-framed value; a fully covered band has none.  The features are the
     band's `_band_features`, as in training.  The gain core holds about
     two frame-sized float64 matrices at most (its float32 class parts and
     the gain), not four.  A direct call runs at one BLAS thread
@@ -167,10 +167,9 @@ def subband_gain(
     """
     s_b = np.asarray(s_b, dtype=np.float64)
     gain = _ratio_gain(lambda: _band_features(s_b, spec), w_s, w_n, params)
+    covered = (gain.shape[1] - 1) * spec.frame_shift + spec.frame_size
     g = overlap_add(np.sqrt(gain, out=gain), spec, len(s_b))
-    covered = (frame_count(len(s_b), spec) - 1) * spec.frame_shift + spec.frame_size
-    if covered < len(s_b):
-        g[covered:] = g[covered - 1]
+    g[covered:] = g[covered - 1]
     # an average of square roots of gains in [0, 1] stays in [0, 1]: rounding
     # is monotone, so a sum of k such terms is at most k
     return g

@@ -24,6 +24,8 @@ import numpy as np
 
 from .framing import Signal, _shown, _too_deep, _whole
 
+__all__ = ["FILTER_NAMES", "dwpt", "get_filters", "idwpt"]
+
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
 

@@ -103,7 +103,7 @@ def test_dwpt_training_frames_each_band_in_float32(monkeypatch):
     # the squared band.  Framing in float64 and factorizing that (the
     # float64 trainer) measured 2.34, and framing in float64, then casting
     # to float32, 3.27.
-    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: None)
+    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: nmf._NO_SETTER)
     spec, params = FrameSpec(256, 8), NmfParams(rank=2, max_iters=2)
     clean, noise = [make_tone(500.0, 2.0)], [synth_white_noise(2.0, 8000, 0, 0.5)]
     frame_matrix = 256 * frame_count(-(-16000 // 2), spec) * 4

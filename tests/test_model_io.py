@@ -266,6 +266,23 @@ def test_duplicated_matrix_rejected(tmp_path):
         load_model(p)
 
 
+def test_declarations_out_of_order_rejected(tmp_path):
+    # the payloads are read in the order the kind declares, so a file whose
+    # first band lists w_noise_0 before w_speech_0 is refused, even with its
+    # payloads swapped to match
+    w_s, w_n = np.array([[0.5], [1.5]]), np.array([[2.0], [0.25]])
+    band = BandModel(w_s, w_n, 1.0)
+    p = tmp_path / "m.snm"
+    save_model(SubbandBasisModel(1, "haar", FrameSpec(2, 1), [band, band], 8000), p)
+    header, payload = p.read_bytes().split(b"\n\n", 1)
+    speech, noise = b"matrix w_speech_0 2 1", b"matrix w_noise_0 2 1"
+    swapped = header.replace(speech, b"@").replace(noise, speech).replace(b"@", noise)
+    assert payload[:32] == w_s.tobytes() + w_n.tobytes()
+    p.write_bytes(swapped + b"\n\n" + w_n.tobytes() + w_s.tobytes() + payload[32:])
+    with pytest.raises(ValueError, match="this file declares w_noise_0, w_speech_0, "):
+        load_model(p)
+
+
 def test_repeated_header_field_rejected(tmp_path):
     # a second sample_rate line would otherwise replace the first one
     p = tmp_path / "m.snm"

@@ -49,7 +49,7 @@ TRAIN_WIDE = dict(speech_params=NmfParams(12, 2, 0), noise_params=NmfParams(40, 
 @pytest.fixture
 def blas_threads():
     """Set the BLAS thread count for a test; the count before it is restored after."""
-    if API is None:
+    if API is nmf._NO_SETTER:
         pytest.skip("no OpenBLAS thread-count setter found in numpy's bundled libraries")
     get, set_ = API
     before = get()
@@ -103,7 +103,7 @@ def record_band_threads(monkeypatch):
     seen, gain = [], subband.subband_gain
 
     def logged(s_b, *args, **kwargs):
-        blas = API[0]() if API else None
+        blas = API[0]()
         seen.append((threading.current_thread().name, blas, np.max(np.abs(s_b))))
         return gain(s_b, *args, **kwargs)
 
@@ -149,7 +149,7 @@ def record_factorize_threads(monkeypatch, scale_in_helpers=1.0):
     seen, factorize, caller = [], spectral.factorize, threading.current_thread()
 
     def logged(v, params):
-        seen.append((threading.current_thread().name, API[0]() if API else None))
+        seen.append((threading.current_thread().name, API[0]()))
         if threading.current_thread() is not caller:
             v = v * scale_in_helpers
         return factorize(v, params)
@@ -299,11 +299,12 @@ def test_without_a_setter_nothing_is_set_and_the_bands_run_serially(blas_threads
     blas_threads(2)
     serial = serial_dwpt(noisy, dwpt_model)
     seen = record_band_threads(monkeypatch)
-    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: None)
+    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: nmf._NO_SETTER)
     out = enhance_dwpt(noisy, dwpt_model, "db8", PARAMS)
     np.testing.assert_array_equal(out.samples, serial)
     # BLAS kept its two threads, and every band ran in the calling thread
     assert {(name, blas) for name, blas, _ in seen} == {(threading.current_thread().name, 2)}
+    assert nmf._budget.get() is None
 
 
 def test_tiles_reraise_the_first_error_after_joining():
@@ -426,11 +427,12 @@ def test_without_a_setter_the_bands_train_serially(blas_threads, corpus, tmp_pat
     blas_threads(2)
     serial = model_bytes(serial_dwpt_training(corpus), tmp_path / "serial.snm")
     seen = record_factorize_threads(monkeypatch)
-    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: None)
+    monkeypatch.setattr(nmf, "_blas_threads_api", lambda: nmf._NO_SETTER)
     assert model_bytes(train_dwpt(corpus), tmp_path / "unset.snm") == serial
     # BLAS kept its two threads, and every band trained in the calling thread
     assert len(seen) == 16
     assert set(seen) == {(threading.current_thread().name, 2)}
+    assert nmf._budget.get() is None
 
 
 # variables through which a caller could once set each worker's count; the
@@ -454,7 +456,7 @@ def test_jobs_workers_share_the_cores(monkeypatch, environ, expected):
         assert cli._enhancer is len
     assert calls == expected
     # without a setter nothing is set, and the enhancer is still installed
-    monkeypatch.setattr(cli, "_blas_threads_api", lambda: None)
+    monkeypatch.setattr(cli, "_blas_threads_api", lambda: nmf._NO_SETTER)
     cli._start_worker(abs, 2)
     assert calls == expected and cli._enhancer is abs
     # an in-process batch is one worker: it installs its enhancer and leaves
