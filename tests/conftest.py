@@ -1,9 +1,26 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from subband_nmf import BandModel, Signal, SubbandBasisModel
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_module(relative_path):
+    """The file at relative_path under the repository root, run as a module.
+
+    The module is not registered in sys.modules, so each call runs the
+    file afresh.
+    """
+    path = ROOT / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -18,7 +18,6 @@ from subband_nmf import (
     Signal,
     dwpt,
     enhance_dwpt,
-    enhance_stft,
     enhance_subbands,
     encode,
     factorize,
@@ -26,12 +25,10 @@ from subband_nmf import (
     idwpt,
     mix_at_snr,
     read_wav,
-    ssnr,
     synth_pink_noise,
     synth_sweep,
     synth_white_noise,
     train_dwpt_model,
-    train_stft_model,
     wiener_gain,
     write_wav,
 )
@@ -39,7 +36,9 @@ from subband_nmf.cli import main as cli_main
 from subband_nmf.defaults import EPSILON
 from subband_nmf.framing import frame_count, frame_signal, overlap_add, rms
 
-from conftest import make_signal, planted_instance, unit_gain_model
+from conftest import load_module, make_signal, planted_instance, unit_gain_model
+
+DESK_EVAL = load_module("scripts/desk_eval.py")
 
 REPORT_LINES = []
 
@@ -206,37 +205,15 @@ def test_c06_identity_path():
 
 def test_c07_desk_scale_ordering():
     t0 = time.perf_counter()
-    clean_train = [synth_sweep(30.0, RATE, 1)]
-    noise_train = [synth_white_noise(15.0, RATE, 1, 0.5),
-                   synth_pink_noise(15.0, RATE, 2, 0.5)]
-    stft_model = train_stft_model(
-        clean_train, noise_train, FrameSpec(256, 80),
-        speech_params=NmfParams(rank=4, max_iters=200, seed=0),
-        noise_params=NmfParams(rank=8, max_iters=200, seed=0),
-    )
-    dwpt_model = train_dwpt_model(
-        clean_train, noise_train, 3, get_filters("db8"), FrameSpec(256, 32),
-        speech_params=NmfParams(rank=4, max_iters=200, seed=0),
-        noise_params=NmfParams(rank=8, max_iters=200, seed=0),
-    )
-    enc = NmfParams(rank=12, max_iters=50, seed=0)
-    filters = get_filters("db8")
+    stft_model, dwpt_model = DESK_EVAL.train_models()
 
     ok = True
     details = []
     for snr in (0.0, 5.0, 10.0):
-        rows = []
-        for seed in range(10):
-            clean = synth_sweep(2.0, RATE, 50 + seed)
-            noise = (synth_white_noise(2.0, RATE, 100 + seed, 0.5) if seed % 2 == 0
-                     else synth_pink_noise(2.0, RATE, 100 + seed, 0.5))
-            noisy = mix_at_snr(clean, noise, MixSpec(snr, seed))
-            rows.append((
-                ssnr(clean, noisy),
-                ssnr(clean, enhance_dwpt(noisy, dwpt_model, filters, enc)),
-                ssnr(clean, enhance_stft(noisy, stft_model, enc)),
-            ))
-        med_noisy, med_dwpt, med_stft = np.median(np.asarray(rows), axis=0)
+        rows = DESK_EVAL.run_condition(stft_model, dwpt_model, snr, range(10))
+        med_noisy, med_dwpt, med_stft = (
+            np.median([r.ssnr_db for r in rows[name]]) for name in ("noisy", "dwpt", "stft")
+        )
         ok &= bool(med_dwpt > med_noisy and med_dwpt >= med_stft)
         details.append(f"{snr:.0f}dB[n {med_noisy:.2f} d {med_dwpt:.2f} s {med_stft:.2f}]")
     elapsed = time.perf_counter() - t0

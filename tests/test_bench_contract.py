@@ -12,30 +12,18 @@ fails here in seconds rather than in the benchmark's own tests.
 """
 
 import importlib
-import importlib.util
 import inspect
 import json
-from pathlib import Path
 
 import pytest
 
 import subband_nmf as snm
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, load_module
+
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-
-
-def _load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACER = _load_perfbench("tracer")
-WORKLOADS = _load_perfbench("workloads")
+TRACER = load_module("perfbench/tracer.py")
+WORKLOADS = load_module("perfbench/workloads.py")
 
 
 def _function(qualified):

@@ -1,12 +1,8 @@
 """scripts/code_lines.py: which lines of a source count as code."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_module
 
-ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+code_lines = load_module("scripts/code_lines.py")
 
 SOURCE = '''"""A module docstring
 over two lines."""

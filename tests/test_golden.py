@@ -9,17 +9,13 @@ at any count, but only where the stored file holds this machine's
 fingerprint.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("golden_outputs",
-                                               ROOT / "scripts" / "golden_outputs.py")
-golden_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_outputs)
+from conftest import load_module
+
+golden_outputs = load_module("scripts/golden_outputs.py")
 
 STORED = json.loads(golden_outputs.GOLDEN.read_text())
 FRONT_ENDS = ("dwpt", "stft")
