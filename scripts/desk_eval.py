@@ -43,6 +43,10 @@ LEVEL = 3
 FILTER = "db8"
 SPEECH_RANK = 4
 NOISE_RANK = 8
+STFT_FRAMES = FrameSpec(256, 80)
+DWPT_FRAMES = FrameSpec(256, 32)
+# each half-length noise clip must give every level-LEVEL subband one frame
+MIN_TRAIN_SECONDS = 2 * 2**LEVEL * DWPT_FRAMES.frame_size / RATE
 
 
 def train_models(train_seconds=30.0, train_iters=200):
@@ -55,10 +59,10 @@ def train_models(train_seconds=30.0, train_iters=200):
     speech = NmfParams(rank=SPEECH_RANK, max_iters=train_iters, seed=0)
     bg = NmfParams(rank=NOISE_RANK, max_iters=train_iters, seed=0)
     stft_model = train_stft_model(
-        clean, noise, FrameSpec(256, 80), speech_params=speech, noise_params=bg
+        clean, noise, STFT_FRAMES, speech_params=speech, noise_params=bg
     )
     dwpt_model = train_dwpt_model(
-        clean, noise, LEVEL, FILTER, FrameSpec(256, 32), speech_params=speech, noise_params=bg
+        clean, noise, LEVEL, FILTER, DWPT_FRAMES, speech_params=speech, noise_params=bg
     )
     return stft_model, dwpt_model
 
@@ -89,8 +93,14 @@ def main(argv=None) -> int:
     ap.add_argument("--train-iters", type=int, default=200)
     ap.add_argument("--enhance-iters", type=int, default=50)
     args = ap.parse_args(argv)
-    if args.num_seeds < 1:
-        ap.error(f"--num-seeds must be at least 1, got {args.num_seeds}")
+    for flag, count in (("--num-seeds", args.num_seeds), ("--train-iters", args.train_iters),
+                        ("--enhance-iters", args.enhance_iters)):
+        if count < 1:
+            ap.error(f"{flag} must be at least 1, got {count}")
+    if not MIN_TRAIN_SECONDS <= args.train_seconds < float("inf"):
+        ap.error(f"--train-seconds must be finite and at least {MIN_TRAIN_SECONDS:g}, one "
+                 f"{DWPT_FRAMES.frame_size}-sample frame per level-{LEVEL} subband in each "
+                 f"half-length noise clip, got {args.train_seconds:g}")
 
     t0 = time.perf_counter()
     stft_model, dwpt_model = train_models(args.train_seconds, args.train_iters)

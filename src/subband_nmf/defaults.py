@@ -9,6 +9,10 @@ DWPT_FRAME_SIZE = 1000
 DWPT_FRAME_SHIFT = 20
 DWPT_LEVEL = 3
 DEFAULT_FILTER = "db8"
+# dwpt enhancement frames at max(frame_shift, frame_size // DWPT_ENHANCE_COVER):
+# every interior sample still lies in at least this many frames, and a model
+# whose frames cover each sample this often or less enhances at its own shift
+DWPT_ENHANCE_COVER = 25
 
 # Dictionary sizes and iteration budgets
 SPEECH_RANK = 40

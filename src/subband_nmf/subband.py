@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import EPSILON
+from .defaults import DWPT_ENHANCE_COVER, EPSILON
 from .framing import (
     FrameSpec,
     Signal,
@@ -155,17 +155,25 @@ def subband_gain(
 ) -> np.ndarray:
     """Per-sample suppression gain in [0, 1] for one subband sequence.
 
-    The squared frame matrix's `_ratio_gain`, speech/(speech+noise)
-    floored and clipped as in `wiener_gain`, has its square root taken in
-    place and de-framed by averaging overlap-add.  Samples past the last
-    full frame, which the gain's column count places, keep the final
-    de-framed value; a fully covered band has none.  The features are the
-    band's `_band_features`, as in training.  The gain core holds about
-    two frame-sized float64 matrices at most (its float32 class parts and
-    the gain), not four.  A direct call runs at one BLAS thread
+    The band is framed at spec's frame size and a shift of
+    max(frame_shift, frame_size // DWPT_ENHANCE_COVER), so every interior
+    sample still lies in at least DWPT_ENHANCE_COVER (25) frames.  A
+    model with more frames per sample than that, such as the paper's
+    1000/20 (50 per sample), enhances at the coarser shift (40 there) and
+    encodes half the frames; any other keeps its own shift.  The squared
+    frame matrix's `_ratio_gain`, speech/(speech+noise) floored and
+    clipped as in `wiener_gain`, has its square root taken in place and
+    de-framed by averaging overlap-add.  Samples past the last full
+    frame, which the gain's column count places, keep the final de-framed
+    value; a fully covered band has none.  The features are the band's
+    `_band_features`, as in training.  The gain core holds about two
+    frame-sized float64 matrices at most (its float32 class parts and the
+    gain), not four.  A direct call runs at one BLAS thread
     (`nmf._nmf_call`), so it gives the bytes it gives in `enhance_subbands`.
     """
     s_b = np.asarray(s_b, dtype=np.float64)
+    spec = FrameSpec(spec.frame_size,
+                     max(spec.frame_shift, spec.frame_size // DWPT_ENHANCE_COVER))
     gain = _ratio_gain(lambda: _band_features(s_b, spec), w_s, w_n, params)
     covered = (gain.shape[1] - 1) * spec.frame_shift + spec.frame_size
     g = overlap_add(np.sqrt(gain, out=gain), spec, len(s_b))
@@ -189,7 +197,9 @@ def enhance_subbands(
     left it: min(sigma_clean, rms(shat)) / max(rms(shat), EPSILON).  So
     it can only attenuate: no band comes out louder than the gain left
     it, which is no louder than it went in, and a band whose enhanced rms
-    is zero comes out silent.  Only the shape
+    is zero comes out silent.  Each band's gain is `subband_gain`'s, so
+    a model with more than DWPT_ENHANCE_COVER frames per sample enhances
+    at a coarser shift than it trained at.  Only the shape
     is checked: one row per model band, each holding at least one frame
     of the model's frame size (`_check_frames`, as "subbands too
     short").  The bands are enhanced side by side, one per thread BLAS

@@ -57,14 +57,16 @@ def traced_peak(fn):
 
 
 def test_subband_gain_peak_is_two_frame_matrices_and_the_encoding():
-    # the paper's ratios: rank / frame size 0.2, 600 frames.  Measured at
-    # 2.136 frame matrices: the float64 gain, the two float32 class parts,
-    # the float32 stack and the sum's cast buffers.  Keeping the float32 H
-    # through the gain measured 2.236; float64 class parts with the gain
-    # formed in one part's buffer measured 2.201.
-    spec = FrameSpec(400, 8)
+    # the paper's ratios: rank / frame size 0.2, 600 frames, at 25 frames
+    # per sample, which `subband_gain` frames as given (a finer shift would
+    # be coarsened, building less than the matrix the bound divides by).
+    # Measured at 2.137 frame matrices: the float64 gain, the two float32
+    # class parts, the float32 stack and the sum's cast buffers.  Keeping
+    # the float32 H through the gain measured 2.236; float64 class parts
+    # with the gain formed in one part's buffer measured 2.201.
+    spec = FrameSpec(400, 16)
     rng = np.random.default_rng(0)
-    band = rng.uniform(-1.0, 1.0, 599 * 8 + 400)
+    band = rng.uniform(-1.0, 1.0, 599 * 16 + 400)
     w_s, w_n = rng.uniform(0.0, 1.0, (400, 16)), rng.uniform(0.0, 1.0, (400, 64))
     params = NmfParams(rank=80, max_iters=2)
     frame_matrix = 400 * frame_count(len(band), spec) * 8

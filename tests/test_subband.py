@@ -248,6 +248,47 @@ def test_subband_gain_matches_brute_force_ola():
     np.testing.assert_array_equal(g[covered:], g[covered - 1])
 
 
+@pytest.mark.parametrize("size, shift, framed_at", [
+    (1000, 20, 40),  # the paper's 50 frames per sample, coarsened to 25
+    (1000, 40, 40),
+    (256, 32, 32),  # criterion 7's geometry
+    (64, 16, 16),  # the golden outputs' geometry
+    (128, 2, 5),
+])
+def test_subband_gain_frames_at_no_more_than_25_frames_per_sample(size, shift, framed_at,
+                                                                  monkeypatch):
+    specs, frame = [], subband.frame_signal
+
+    def spied(x, spec):
+        specs.append(spec)
+        return frame(x, spec)
+
+    monkeypatch.setattr(subband, "frame_signal", spied)
+    r = np.random.default_rng(0)
+    band = make_signal(size + 3 * framed_at, seed=2).samples
+    g = subband_gain(band, r.uniform(0, 1, (size, 2)), r.uniform(0, 1, (size, 3)),
+                     FrameSpec(size, shift), small_params(5, 3))
+    assert specs == [FrameSpec(size, framed_at)]
+    assert len(g) == len(band)
+
+
+def test_a_coarsened_gain_is_the_gain_at_the_coarse_shift():
+    # 128/2 frames at shift 5; the band leaves a 4-sample tail past the last
+    # full frame, longer than the model's shift, which holds the last
+    # de-framed value
+    band = make_signal(128 + 5 * 60 + 4, seed=6).samples
+    r = np.random.default_rng(7)
+    w_s, w_n = r.uniform(0, 1, (128, 2)), r.uniform(0, 1, (128, 3))
+    g = subband_gain(band, w_s, w_n, FrameSpec(128, 2), small_params(5, 30))
+    np.testing.assert_array_equal(
+        g, subband_gain(band, w_s, w_n, FrameSpec(128, 5), small_params(5, 30)))
+    assert len(g) == len(band) and np.all(g >= 0.0) and np.all(g <= 1.0)
+    covered = 60 * 5 + 128
+    assert len(band) - covered == 4
+    np.testing.assert_array_equal(g[covered:], g[covered - 1])
+    assert g[covered - 1] != g[covered - 2]
+
+
 def test_enhance_identity_path():
     # unit gains, normalization off: pure decomposition round trip
     model = unit_gain_model(2, FrameSpec(32, 8))

@@ -75,6 +75,13 @@ def dwpt_model(corpus, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def dense_dwpt_model(corpus):
+    # 64 frames per sample, which `subband_gain` enhances at shift 5 (25.6)
+    clean, noise, _ = corpus
+    return train_dwpt_model([clean], [noise], 3, "db8", FrameSpec(128, 2), **TRAIN)
+
+
+@pytest.fixture(scope="module")
 def stft_model(corpus):
     # ranks whose column-block products round differently from the whole
     # product; at ranks 4 and 6 the blocks gave the same bytes
@@ -184,6 +191,18 @@ def test_dwpt_at_one_thread_is_the_serial_band_loop(blas_threads, dwpt_model, co
     serial = serial_dwpt(noisy, dwpt_model)
     blas_threads(2)
     np.testing.assert_array_equal(enhance_dwpt(noisy, dwpt_model, "db8", PARAMS).samples, serial)
+
+
+def test_a_coarsened_dwpt_model_gives_the_serial_bytes_at_any_thread_count(
+        blas_threads, dense_dwpt_model, corpus):
+    noisy = corpus[2]
+    blas_threads(1)
+    serial = serial_dwpt(noisy, dense_dwpt_model)
+    for count in (1, 2, 3):
+        blas_threads(count)
+        out = enhance_dwpt(noisy, dense_dwpt_model, "db8", PARAMS).samples
+        np.testing.assert_array_equal(out, serial)
+        assert API[0]() == count
 
 
 def test_stft_repeats_bit_for_bit_and_stays_near_one_thread(blas_threads, stft_model, corpus):
